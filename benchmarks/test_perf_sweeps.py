@@ -24,18 +24,23 @@ report so the regression sentinel pins them exactly.
 ``test_perf_sim_core`` emits ``BENCH_sim_core.json`` for the
 struct-of-arrays core and the checkpointed incremental executor: the
 same grid serial-cold (the SoA hot path; the pre-SoA seed's wall time
-is recorded alongside for the vs-seed comparison), through the
-process-pool optimized path (>= 2x floor), through the incremental
-executor cold (prefix restores, with the executor's saved/replayed
-second counters), and a warm ``threshold_search`` re-run answered from
-the result cache (>= 3x floor, in practice orders of magnitude).
+is recorded alongside for the vs-seed comparison) and through the
+incremental executor cold (prefix restores and full-tape reuses, with
+the executor's counters) as three interleaved pairs, the best of which
+must show incremental no slower than serial; then through the
+process-pool optimized path (>= 2x floor where the host has the
+cores), and a warm ``threshold_search`` re-run answered from the
+result cache (>= 3x serial, in practice orders of magnitude). Every
+speedup is against plain serial, and the report stamps the host.
 """
 
 import json
 import os
+import platform
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core.policy import PolcaThresholds
@@ -275,12 +280,47 @@ def test_perf_sim_core(benchmark):
         assert len(points) == len(COMBOS) * len(FRACTIONS)
         return wall
 
-    # 1. The SoA core, serial and cold: every grid point simulated.
-    serial_wall = timed_grid(EvaluationHarness(
-        duration_s=hours(GRID_HOURS), seed=1
-    ))
+    def incremental_grid():
+        # The incremental executor, cold: each family's first run
+        # records tape + checkpoints, the rest restore their longest
+        # matching prefix and replay only the suffix, or reuse the base
+        # result outright. The grid is the same baseline + combos x
+        # fractions batch threshold_search builds, run through an
+        # engine we hold so its executor counters are readable.
+        harness = EvaluationHarness(
+            duration_s=hours(GRID_HOURS), seed=1, incremental=True,
+        )
+        engine = harness.engine()
+        specs = [harness.baseline_spec()] + [
+            harness.spec(
+                PolicySpec("POLCA", thresholds), added_fraction=fraction
+            )
+            for _, thresholds in COMBOS
+            for fraction in FRACTIONS
+        ]
+        start = time.perf_counter()
+        results = engine.run_specs(specs)
+        wall = time.perf_counter() - start
+        assert len(results) == len(specs)
+        return wall, harness, engine._incremental.stats
 
-    # 2. The optimized path: process fan-out over the same cold grid.
+    # 1-2. The SoA core serial and cold (every grid point simulated)
+    # against the incremental executor cold, as interleaved pairs:
+    # adjacent timings share the host's speed drift, so the best pair
+    # compares like with like.
+    pairs = []
+    for _ in range(3):
+        serial = timed_grid(EvaluationHarness(
+            duration_s=hours(GRID_HOURS), seed=1
+        ))
+        pairs.append((serial, *incremental_grid()))
+    serial_wall = min(pair[0] for pair in pairs)
+    incremental_wall, incremental, inc_stats = min(
+        (pair[1:] for pair in pairs), key=lambda rest: rest[0]
+    )
+    best_ratio = min(inc / serial for serial, inc, _, _ in pairs)
+
+    # 3. The optimized path: process fan-out over the same cold grid.
     def optimized_grid():
         return timed_grid(EvaluationHarness(
             duration_s=hours(GRID_HOURS), seed=1
@@ -290,28 +330,6 @@ def test_perf_sim_core(benchmark):
         optimized_grid, rounds=1, iterations=1
     )
 
-    # 3. The incremental executor, cold: each family's first run
-    # records tape + checkpoints, the rest restore their longest
-    # matching prefix and replay only the suffix. The grid is the same
-    # baseline + combos x fractions batch threshold_search builds, run
-    # through an engine we hold so its executor counters are readable.
-    incremental = EvaluationHarness(
-        duration_s=hours(GRID_HOURS), seed=1, incremental=True,
-    )
-    engine = incremental.engine()
-    specs = [incremental.baseline_spec()] + [
-        incremental.spec(
-            PolicySpec("POLCA", thresholds), added_fraction=fraction
-        )
-        for _, thresholds in COMBOS
-        for fraction in FRACTIONS
-    ]
-    start = time.perf_counter()
-    results = engine.run_specs(specs)
-    incremental_wall = time.perf_counter() - start
-    assert len(results) == 1 + len(COMBOS) * len(FRACTIONS)
-    inc_stats = engine._incremental.stats
-
     # 4. Warm re-run of the whole threshold search: every spec answers
     # from the result cache without touching the simulator.
     start = time.perf_counter()
@@ -320,7 +338,7 @@ def test_perf_sim_core(benchmark):
 
     optimized_speedup = serial_wall / optimized_wall \
         if optimized_wall > 0 else 0.0
-    warm_speedup = incremental_wall / warm_wall if warm_wall > 0 else 0.0
+    warm_speedup = serial_wall / warm_wall if warm_wall > 0 else 0.0
     report = {
         "grid": {
             "combos": [label for label, _ in COMBOS],
@@ -344,6 +362,7 @@ def test_perf_sim_core(benchmark):
             "speedup_vs_serial": round(
                 serial_wall / incremental_wall, 3
             ) if incremental_wall > 0 else 0.0,
+            "best_pair_speedup_vs_serial": round(1.0 / best_ratio, 3),
             "base_runs": inc_stats.base_runs,
             "resumed_runs": inc_stats.resumed_runs,
             "reused_results": inc_stats.reused_results,
@@ -353,9 +372,13 @@ def test_perf_sim_core(benchmark):
         },
         "warm_rerun": {
             "wall_s": round(warm_wall, 4),
-            "speedup_vs_incremental_cold": round(warm_speedup, 1),
+            "speedup_vs_serial": round(warm_speedup, 1),
         },
         "cpu_count": os.cpu_count(),
+        "env": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
     }
     SIM_CORE_REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n")
     print(f"\n=== Simulator core: {GRID_HOURS:.0f}h Fig 13 grid ===")
@@ -364,13 +387,20 @@ def test_perf_sim_core(benchmark):
     print(f"optimized (x{PARALLEL_WORKERS}):    {optimized_wall:6.2f} s  "
           f"{optimized_speedup:.2f}x")
     print(f"incremental cold:  {incremental_wall:6.2f} s  "
-          f"(saved {inc_stats.saved_s:.0f} sim-s across "
-          f"{inc_stats.resumed_runs} resumes)")
+          f"{serial_wall / incremental_wall:.2f}x "
+          f"(best pair {1.0 / best_ratio:.2f}x; "
+          f"{inc_stats.resumed_runs} resumed, "
+          f"{inc_stats.reused_results} reused)")
     print(f"warm re-run:       {warm_wall:6.3f} s  {warm_speedup:.0f}x")
 
     benchmark.extra_info.update(report)
+    assert best_ratio <= 1.0, (
+        f"incremental cold should take no longer than serial, got "
+        f"{best_ratio:.3f}x the serial wall in the best of "
+        f"{len(pairs)} pairs"
+    )
     assert warm_speedup >= 3.0, (
-        f"warm threshold_search re-run should be >= 3x, "
+        f"warm threshold_search re-run should be >= 3x serial, "
         f"got {warm_speedup:.2f}x"
     )
     if (os.cpu_count() or 1) >= PARALLEL_WORKERS:

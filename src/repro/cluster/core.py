@@ -16,11 +16,17 @@ simulator):
   float summation order unchanged.
 
 * **Checkpointing.** Because all mutable state hangs off one object,
-  :meth:`SimulationCore.snapshot` can deep-copy a mid-flight run (with
-  immutables — requests, specs, segment tuples — shared via a pre-seeded
-  memo) and :mod:`repro.exec.incremental` can resume it under a
-  different controller. Cores pickle (``__getstate__`` re-keys the
-  id-keyed maps) so checkpoints can live in the run cache's blob layer.
+  :meth:`SimulationCore.checkpoint` can encode a mid-flight run and
+  :meth:`SimulationCore.restore` rebuild it, so
+  :mod:`repro.exec.incremental` can resume it under a different
+  controller. A checkpoint holds only what the run has changed: the
+  immutables every core of one config, trace and duration shares
+  (requests, config, power model, per-server specs, the policy) are
+  written as references resolved against a freshly started template
+  core, and the static event schedule the constructor pushes (arrivals,
+  ticks, churn, initial protection projections) shrinks to the count of
+  its entries still pending. Cores also pickle whole (``__getstate__``
+  re-keys the id-keyed maps).
 
 * **Sharding.** The telemetry/control block of the tick handler is
   reachable as methods, so a parent control plane can drive it over
@@ -35,8 +41,10 @@ show up in traces.
 
 from __future__ import annotations
 
-import copy
+import heapq
+import io
 import math
+import pickle
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -59,6 +67,12 @@ from repro.powerfail.topology import PowerTopology
 from repro.telemetry.base import SampledInterface
 from repro.workloads.requests import SampledRequest
 from repro.workloads.spec import Priority
+
+
+#: Checkpoint state attributes pickled without reference lookups
+#: (:meth:`SimulationCore.checkpoint`): per-tier metrics, whose latency
+#: lists never hold a shared object.
+_PLAIN_STATE = ("metrics", "workload_metrics")
 
 
 class KernelTimers:
@@ -367,13 +381,11 @@ class SimulationCore:
                     churn.recover_at_s,
                     ("server_recover", churn.server_index),
                 )
+        # Every entry pushed so far follows from the config, trace and
+        # duration alone; checkpoints store only how many of these
+        # static entries are still pending (see :meth:`checkpoint`).
+        self.n_static = self.queue._sequence
 
-    # ------------------------------------------------------------------
-    # Pickling (checkpoint blobs). Id-keyed maps are re-keyed by request
-    # index across the dump; the recorder never travels (restored cores
-    # replay unrecorded). ``copy.deepcopy`` routes through the same
-    # hooks, so :meth:`snapshot` inherits the fixups.
-    # ------------------------------------------------------------------
     def _cache_metric_handles(self) -> None:
         """Bind the per-request counters and histograms once.
 
@@ -418,6 +430,11 @@ class SimulationCore:
         self._rec_req_arrival = recording and recorder.wants("req_arrival")
         self._rec_serve = recording and recorder.wants("serve")
 
+    # ------------------------------------------------------------------
+    # Pickling and checkpoints. Id-keyed maps are re-keyed by request
+    # index across the dump; the recorder never travels (restored cores
+    # replay unrecorded until ``attach_recorder``).
+    # ------------------------------------------------------------------
     def __getstate__(self) -> Dict[str, Any]:
         state = self.__dict__.copy()
         state["recorder"] = None
@@ -481,32 +498,116 @@ class SimulationCore:
         self._cache_metric_handles()
         self.request_ids = {id(r): i for i, r in enumerate(self.requests)}
 
-    def snapshot(self) -> "SimulationCore":
-        """Deep-copy this mid-flight run into an independent core.
+    def _shared_objects(self) -> Dict[Any, Any]:
+        """The immutables of this run that checkpoints refer to by key.
 
-        Immutable structure — the request list and objects, config,
-        power model, per-server specs and shared segment tuples — is
-        shared between the original and the copy via a pre-seeded memo;
-        everything mutable (servers, slots, queue, RNGs, policy,
-        injector/protection state) is copied. The copy replays
-        unrecorded (see ``__getstate__``).
+        Every core started from the same config, trace and duration
+        holds equal objects under the same keys, so a checkpoint
+        resolves them against any freshly started template core. The
+        requests themselves are keyed by arrival index.
         """
-        memo: Dict[int, Any] = {id(self.requests): self.requests}
-        for request in self.requests:
-            memo[id(request)] = request
-        for obj in (
-            self.config, self.power_model, self.reliability,
-            self._index_by_priority, self._ids_by_priority, self._all_ids,
-        ):
-            memo[id(obj)] = obj
-        for server in self.servers:
-            memo[id(server.model)] = server.model
-            memo[id(server._spec)] = server._spec
-            memo[id(server._profile)] = server._profile
-            memo[id(server._token_activity)] = server._token_activity
-            for active in server.slots.values():
-                memo[id(active.segments)] = active.segments
-        return copy.deepcopy(self, memo)
+        shared = {
+            "requests": self.requests,
+            "policy": self.policy,
+            "config": self.config,
+            "power_model": self.power_model,
+            "reliability": self.reliability,
+            "index_by_priority": self._index_by_priority,
+            "ids_by_priority": self._ids_by_priority,
+            "all_ids": self._all_ids,
+        }
+        for i, server in enumerate(self.servers):
+            shared[i, "model"] = server.model
+            shared[i, "spec"] = server._spec
+            shared[i, "profile"] = server._profile
+            shared[i, "token_activity"] = server._token_activity
+        return shared
+
+    def checkpoint(self) -> bytes:
+        """Encode this mid-flight run as a compact checkpoint blob.
+
+        The blob holds only what the run has changed: the shared
+        immutables (:meth:`_shared_objects` and every request) are
+        written as references, the static event schedule as the count
+        of its entries still pending, and the power samples up to the
+        last tick taken. Like a plain pickle of the core, it excludes
+        the recorder and the metrics registry. :meth:`restore` rebuilds
+        the core.
+        """
+        if not self.request_ids:
+            # The arrival-index map recording keeps; built once here for
+            # unrecorded runs, which checkpoint many times.
+            self.request_ids = {
+                id(r): i for i, r in enumerate(self.requests)
+            }
+        keys: Dict[int, Any] = dict(self.request_ids)
+        for key, obj in self._shared_objects().items():
+            keys[id(obj)] = key
+        state = self.__getstate__()
+        queue = self.queue
+        dynamic = [
+            entry for entry in queue._heap if entry[1] >= self.n_static
+        ]
+        state["queue"] = (
+            queue._sequence, queue._last_popped,
+            len(queue) - len(dynamic), dynamic,
+        )
+        state["power_samples"] = self.power_samples[:self.sample_cursor]
+        # The latency lists are most of the state and hold no shared
+        # object: the plain pickler skips the per-object reference
+        # lookup for them.
+        for name in _PLAIN_STATE:
+            state[name] = pickle.dumps(
+                state[name], protocol=pickle.HIGHEST_PROTOCOL
+            )
+        buffer = io.BytesIO()
+        _CheckpointPickler(buffer, keys).dump(state)
+        return buffer.getvalue()
+
+    @classmethod
+    def restore(
+        cls, blob: bytes, template: "SimulationCore"
+    ) -> "SimulationCore":
+        """Rebuild the core a :meth:`checkpoint` blob encodes.
+
+        ``template`` is a freshly started core of the same config,
+        trace and duration, ``ClusterSimulator(config, policy).start(
+        requests, duration_s)``. It supplies the shared immutables and
+        the static event schedule and is left unmodified; the restored
+        core runs under the template's policy and replays unrecorded.
+
+        Raises:
+            SimulationError: If the template has started running, or
+                its static schedule differs from the checkpointed run's.
+        """
+        state = _CheckpointUnpickler(io.BytesIO(blob), template).load()
+        n_static = template.n_static
+        if len(template.queue) != n_static or n_static != state["n_static"]:
+            raise SimulationError(
+                "restore needs a freshly started template of the "
+                "checkpointed run's config, trace and duration"
+            )
+        sequence, last_popped, n_pending, dynamic = state["queue"]
+        # (time, seq) keys are unique, so any heap over the same entries
+        # pops them in the same order; and pops are monotone in key, so
+        # the static entries still pending are the last ``n_pending`` of
+        # the schedule in key order.
+        heap = sorted(template.queue._heap)[n_static - n_pending:] + dynamic
+        heapq.heapify(heap)
+        queue = EventQueue()
+        queue._heap = heap
+        queue._sequence = sequence
+        queue._last_popped = last_popped
+        state["queue"] = queue
+        prefix = state["power_samples"]
+        samples = np.empty(state["scheduled_ticks"], dtype=np.float64)
+        samples[:len(prefix)] = prefix
+        state["power_samples"] = samples
+        for name in _PLAIN_STATE:
+            state[name] = pickle.loads(state[name])
+        core = cls.__new__(cls)
+        core.__setstate__(state)
+        return core
 
     # ------------------------------------------------------------------
     # Power refresh kernels
@@ -1637,3 +1738,28 @@ class SimulationCore:
             observability=observability,
             powerfail=powerfail,
         )
+
+
+class _CheckpointPickler(pickle.Pickler):
+    """Writes the objects in ``keys`` (by ``id``) as references."""
+
+    def __init__(self, file: io.BytesIO, keys: Dict[int, Any]) -> None:
+        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
+        self._keys = keys
+
+    def persistent_id(self, obj: Any) -> Any:
+        return self._keys.get(id(obj))
+
+
+class _CheckpointUnpickler(pickle.Unpickler):
+    """Resolves checkpoint references against a template core."""
+
+    def __init__(self, file: io.BytesIO, template: SimulationCore) -> None:
+        super().__init__(file)
+        self._requests = template.requests
+        self._shared = template._shared_objects()
+
+    def persistent_load(self, key: Any) -> Any:
+        if type(key) is int:
+            return self._requests[key]
+        return self._shared[key]

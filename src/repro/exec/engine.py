@@ -432,11 +432,16 @@ class SweepEngine:
                     if incremental is not None
                     else execute_spec
                 )
+                # Each result enters the cache as it resolves, so a later
+                # spec of the same batch can reuse it: an incremental
+                # variant that matches its family's whole tape answers
+                # with the base run's cached result.
                 for done, (digest, spec) in enumerate(pending, start=1):
                     if not (recording or ledgering):
                         resolved[digest] = self._execute_collected(
                             execute, digest, spec
                         )
+                        self.cache.put(digest, resolved[digest])
                         continue
                     usage_before = (
                         rusage_snapshot() if ledgering else None
@@ -453,6 +458,7 @@ class SweepEngine:
                     result = self._execute_collected(execute, digest, spec)
                     wall_s = time.perf_counter() - run_start
                     resolved[digest] = result
+                    self.cache.put(digest, result)
                     if recording:
                         self._record_run(digest, wall_s, os.getpid())
                         self._record_progress(
@@ -482,8 +488,8 @@ class SweepEngine:
                     pending, resolved, n_workers, batch_hits, start,
                     recording, run_info,
                 )
-            for digest, _ in pending:
-                self.cache.put(digest, resolved[digest])
+                for digest, _ in pending:
+                    self.cache.put(digest, resolved[digest])
         stats = ExecutionStats(
             requested=len(specs),
             unique=len(set(digests)),

@@ -11,9 +11,12 @@ trajectories. This module exploits that:
 * the first run of a *family* (same :class:`~repro.cluster.simulator
   .ClusterConfig` + duration, policy excluded — see
   :func:`family_digest`) runs under a :class:`TapePolicy` that records
-  every control-step input/output pair, and pickles full
-  :class:`~repro.cluster.core.SimulationCore` snapshots at epoch
-  boundaries into the :class:`~repro.exec.cache.RunCache` blob layer;
+  every control-step input/output pair, and writes compact
+  :meth:`~repro.cluster.core.SimulationCore.checkpoint` blobs at epoch
+  boundaries into the :class:`~repro.exec.cache.RunCache` blob layer.
+  A checkpoint holds only the state the run changed; the trace, the
+  per-server specs and the static event schedule it references are
+  rebuilt from a freshly started template core on restore;
 * a later sweep point in the same family replays its *own* policy
   against the recorded inputs to find the first control step where the
   answers diverge, restores the latest checkpoint at or before that
@@ -25,10 +28,10 @@ The replay is sound because the recorded inputs (utilization, time,
 which brake call fires) are functions of the simulator trajectory,
 which is identical while the outputs match: the first divergence found
 against the tape is the first divergence of a real run. Checkpoints
-restore bit-identically (pickling round-trips the full core, RNG
-streams included), so suffix replay equals straight-through simulation
-— the parity tests assert this exactly, adversarial fault plans
-included.
+restore bit-identically (every mutable object of the core round-trips,
+RNG streams included), so suffix replay equals straight-through
+simulation — the parity tests assert this exactly, adversarial fault
+plans included.
 """
 
 from __future__ import annotations
@@ -39,6 +42,9 @@ import pickle
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.cluster.core import SimulationCore
 from repro.cluster.metrics import SimulationResult
 from repro.cluster.policy_base import GroupCaps, PowerPolicy
 from repro.cluster.simulator import ClusterSimulator
@@ -54,8 +60,10 @@ from repro.obs.recorder import MemoryRecorder, TraceRecorder
 #: event tape (the full trace, per-checkpoint event counts, and
 #: pickled metrics registries) so resumed runs can replay the
 #: checkpointed prefix's events and record traces identical to a cold
-#: run's.
-INCREMENTAL_SCHEMA = 2
+#: run's. Schema 3: checkpoints are compact
+#: :meth:`~repro.cluster.core.SimulationCore.checkpoint` blobs, and the
+#: decision tape is stored as columns (:func:`_encode_tape`).
+INCREMENTAL_SCHEMA = 3
 
 
 def family_digest(spec: RunSpec) -> str:
@@ -152,6 +160,55 @@ class TapePolicy(PowerPolicy):
         self.inner.reset()
         self.tape.clear()
         self._pending = None
+
+
+#: ``StepRecord.brake_call``/``brake_result`` values by their int8 code
+#: in the columnar tape.
+_BRAKE_CALLS = (None, "want", "release")
+_BRAKE_RESULTS = (None, False, True)
+
+
+def _encode_tape(records: Sequence[StepRecord]) -> Dict[str, Any]:
+    """The tape as columns: float64 inputs, int8 brake codes, and caps
+    as indices into the table of the distinct :class:`GroupCaps`."""
+    caps_index: Dict[GroupCaps, int] = {}
+    call_code = {call: code for code, call in enumerate(_BRAKE_CALLS)}
+    result_code = {res: code for code, res in enumerate(_BRAKE_RESULTS)}
+    return {
+        "now": np.array([r.now for r in records], dtype=np.float64),
+        "utilization": np.array(
+            [r.utilization for r in records], dtype=np.float64
+        ),
+        "brake_call": np.array(
+            [call_code[r.brake_call] for r in records], dtype=np.int8
+        ),
+        "brake_result": np.array(
+            [result_code[r.brake_result] for r in records], dtype=np.int8
+        ),
+        "caps": np.array(
+            [caps_index.setdefault(r.caps, len(caps_index)) for r in records],
+            dtype=np.int32,
+        ),
+        "caps_table": list(caps_index),
+    }
+
+
+def _decode_tape(columns: Dict[str, Any]) -> List[StepRecord]:
+    """Inverse of :func:`_encode_tape`."""
+    table = columns["caps_table"]
+    return [
+        StepRecord(
+            now, utilization, _BRAKE_CALLS[call], _BRAKE_RESULTS[result],
+            table[caps],
+        )
+        for now, utilization, call, result, caps in zip(
+            columns["now"].tolist(),
+            columns["utilization"].tolist(),
+            columns["brake_call"].tolist(),
+            columns["brake_result"].tolist(),
+            columns["caps"].tolist(),
+        )
+    ]
 
 
 def _feed_step(policy: PowerPolicy, record: StepRecord) -> bool:
@@ -268,6 +325,7 @@ class IncrementalExecutor:
         if not isinstance(meta, dict) \
                 or meta.get("schema") != INCREMENTAL_SCHEMA:
             return None
+        meta["records"] = _decode_tape(meta.pop("tape"))
         return meta
 
     def _base_run(
@@ -283,7 +341,7 @@ class IncrementalExecutor:
         plus — aligned with each checkpoint — the number of events
         emitted strictly before it and the metrics registry as of it
         (checkpoint blobs themselves exclude both; see
-        ``SimulationCore.__getstate__``). The caller's recorder gets
+        ``SimulationCore.checkpoint``). The caller's recorder gets
         the spooled stream replayed at the end.
         """
         policy = TapePolicy(spec.policy.build())
@@ -295,11 +353,10 @@ class IncrementalExecutor:
         event_counts: List[int] = []
         registries: List[bytes] = []
 
-        def checkpoint(when: float, live_core: Any) -> None:
-            blob = pickle.dumps(
-                live_core, protocol=pickle.HIGHEST_PROTOCOL
+        def checkpoint(when: float, live_core: SimulationCore) -> None:
+            self.cache.put_blob(
+                f"{family}-ckpt-{len(epochs)}", live_core.checkpoint()
             )
-            self.cache.put_blob(f"{family}-ckpt-{len(epochs)}", blob)
             epochs.append(when)
             if spool is not None:
                 event_counts.append(len(spool.events))
@@ -311,7 +368,7 @@ class IncrementalExecutor:
         result = core.finalize()
         meta = {
             "schema": INCREMENTAL_SCHEMA,
-            "records": list(policy.tape),
+            "tape": _encode_tape(policy.tape),
             "epochs": epochs,
             "result_digest": spec.digest(),
             "events": list(spool.events) if spool is not None else None,
@@ -394,9 +451,12 @@ class IncrementalExecutor:
         index: Optional[int] = None,
         recorder: Optional[TraceRecorder] = None,
     ) -> SimulationResult:
-        core = pickle.loads(blob)
         policy = spec.policy.build()
-        policy.reset()
+        # The template supplies what the checkpoint references. Its
+        # ``start()`` resets the policy, so build it before the replay.
+        template = ClusterSimulator(spec.config, policy).start(
+            traces.requests_for(spec.trace_key()), spec.duration_s
+        )
         # Rebuild the policy's hysteresis state as of the checkpoint:
         # replay every control step strictly before it (the step at the
         # boundary, if any, has not been processed by the restored
@@ -406,7 +466,7 @@ class IncrementalExecutor:
             if record.now >= when:
                 break
             _feed_step(policy, record)
-        core.policy = policy
+        core = SimulationCore.restore(blob, template)
         if recorder is not None:
             # The base and this variant are bit-identical up to the
             # checkpoint (the prefix matched), so the tape's first

@@ -10,15 +10,16 @@ breaker trips.
 import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.core import SimulationCore
 from repro.cluster.simulator import ClusterConfig, ClusterSimulator
 from repro.control.emergency import EmergencyConfig
 from repro.core.baselines import NoCapPolicy
 from repro.core.policy import DualThresholdPolicy, PolcaThresholds
 from repro.core.sweeps import EvaluationHarness, threshold_search
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.exec import (
     IncrementalExecutor,
     PolicySpec,
@@ -31,6 +32,7 @@ from repro.exec import (
     first_divergence,
     result_to_dict,
 )
+from repro.exec.incremental import INCREMENTAL_SCHEMA
 from repro.faults.plan import FaultPlan
 from repro.powerfail import ProtectionSpec, TripCurve
 from repro.units import hours
@@ -185,6 +187,40 @@ class TestIncrementalParity:
         assert executor.stats.cold_runs == 1
         assert_results_bit_identical(variant, execute_spec(variant_spec))
 
+    def test_older_schema_tape_is_ignored(self):
+        spec = reference_spec("polca-default", PolicySpec("POLCA"))
+        executor = IncrementalExecutor(RunCache(), checkpoint_epoch_s=300.0)
+        family = family_digest(spec)
+        executor.cache.put_blob(f"{family}-tape", pickle.dumps({
+            "schema": INCREMENTAL_SCHEMA - 1,
+            "records": [],
+            "epochs": [],
+            "result_digest": spec.digest(),
+            "events": None,
+            "event_counts": None,
+            "registries": None,
+        }))
+        result = executor.execute(spec)
+        assert executor.stats.base_runs == 1
+        assert executor.stats.reused_results == 0
+        assert_results_bit_identical(result, execute_spec(spec))
+
+    def test_fig13_checkpoints_are_compact(self):
+        """Checkpoints reference the trace, the shared specs and the
+        static event schedule instead of carrying them: a plain pickle
+        of the same cores is about 1.1 MB each."""
+        harness = EvaluationHarness(duration_s=hours(6), seed=1)
+        spec = harness.spec(POLCA_LOW, added_fraction=0.3)
+        assert spec.config.n_servers == 52
+        executor = IncrementalExecutor(RunCache())
+        executor.execute(spec)
+        sizes = [
+            len(blob) for key, blob in executor.cache._blobs.items()
+            if "-ckpt-" in key
+        ]
+        assert len(sizes) == 36
+        assert sum(sizes) / len(sizes) <= 250_000
+
 
 def tripping_config(seed=0, adversarial=False):
     """30% oversubscribed behind an undersized row breaker: sustained
@@ -211,6 +247,8 @@ class TestCheckpointRestoreProperty:
         epoch=st.sampled_from([30.0, 60.0, 70.0, 110.0]),
         adversarial=st.booleans(),
     )
+    @example(seed=0, epoch=30.0, adversarial=False)
+    @example(seed=1, epoch=60.0, adversarial=True)
     def test_restore_at_every_epoch_matches_straight_through(
         self, seed, epoch, adversarial
     ):
@@ -226,21 +264,51 @@ class TestCheckpointRestoreProperty:
         expected = result_to_dict(straight)
 
         blobs = []
-        simulator = ClusterSimulator(config, DualThresholdPolicy())
-        core = simulator.start(requests, duration)
-        core.run_all(
-            epoch, lambda when, c: blobs.append((when, pickle.dumps(c)))
-        )
+        policy = TapePolicy(DualThresholdPolicy())
+        core = ClusterSimulator(config, policy).start(requests, duration)
+        core.run_all(epoch, lambda when, c: blobs.append(
+            (when, pickle.dumps(c), c.checkpoint())
+        ))
         assert_results_bit_identical(core.finalize(), straight)
         assert blobs
 
-        for when, blob in blobs:
+        for when, blob, checkpoint in blobs:
             restored = pickle.loads(blob)
             restored.run_all()
             resumed = restored.finalize()
             assert result_to_dict(resumed) == expected, (
                 f"resume at t={when} diverged"
             )
+            # The compact checkpoint carries no policy: rebuild its
+            # state from the tape prefix, as the incremental executor
+            # does, in the template's (freshly reset) policy.
+            template = ClusterSimulator(config, DualThresholdPolicy()).start(
+                requests, duration
+            )
+            prefix = [r for r in policy.tape if r.now < when]
+            assert first_divergence(prefix, template.policy) is None
+            restored = SimulationCore.restore(checkpoint, template)
+            restored.run_all()
+            resumed = restored.finalize()
+            assert result_to_dict(resumed) == expected, (
+                f"checkpoint restore at t={when} diverged"
+            )
+
+
+    def test_restore_needs_a_fresh_matching_template(self):
+        config = tripping_config()
+        requests = make_requests(4.0, 240.0, seed=0)
+        blobs = []
+        core = ClusterSimulator(config, DualThresholdPolicy()).start(
+            requests, 240.0
+        )
+        core.run_all(60.0, lambda when, c: blobs.append(c.checkpoint()))
+        shorter = ClusterSimulator(config, DualThresholdPolicy()).start(
+            requests, 180.0
+        )
+        for template in (core, shorter):
+            with pytest.raises(SimulationError):
+                SimulationCore.restore(blobs[0], template)
 
 
 class TestEngineIntegration:
@@ -272,6 +340,35 @@ class TestEngineIntegration:
         again = engine.run_specs(self.family(incremental))
         assert engine.last_stats.simulated == 0
         assert [id(r) for r in again] == [id(r) for r in got]
+
+    def test_full_tape_match_reuses_base_within_a_batch(self):
+        """Without overprovisioning the row never reaches T1, so every
+        POLCA variant matches its family's whole tape and answers with
+        the base result the same batch just produced."""
+        def family(harness):
+            return [
+                harness.spec(PolicySpec("POLCA"), added_fraction=0.0),
+                harness.spec(POLCA_LOW, added_fraction=0.0),
+            ]
+
+        plain = EvaluationHarness(
+            n_base_servers=10, duration_s=hours(1), seed=1
+        )
+        incremental = EvaluationHarness(
+            n_base_servers=10, duration_s=hours(1), seed=1,
+            incremental=True,
+        )
+        expected = SweepEngine(workers=1, cache=plain.cache).run_specs(
+            family(plain)
+        )
+        engine = incremental.engine()
+        got = engine.run_specs(family(incremental))
+        for a, b in zip(got, expected):
+            assert result_to_dict(a) == result_to_dict(b)
+        stats = engine._incremental.stats
+        assert stats.base_runs == 1
+        assert stats.reused_results == 1
+        assert stats.resumed_runs == 0
 
     def test_threshold_search_incremental_parity(self):
         combos = (
