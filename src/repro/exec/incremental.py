@@ -62,8 +62,10 @@ from repro.obs.recorder import MemoryRecorder, TraceRecorder
 #: checkpointed prefix's events and record traces identical to a cold
 #: run's. Schema 3: checkpoints are compact
 #: :meth:`~repro.cluster.core.SimulationCore.checkpoint` blobs, and the
-#: decision tape is stored as columns (:func:`_encode_tape`).
-INCREMENTAL_SCHEMA = 3
+#: decision tape is stored as columns (:func:`_encode_tape`). Schema 4:
+#: the protection runtime's energy ledger, pickled into checkpoints of
+#: protected runs, holds scaled integers instead of ``Fraction``\ s.
+INCREMENTAL_SCHEMA = 4
 
 
 def family_digest(spec: RunSpec) -> str:

@@ -5,7 +5,7 @@
 power change; it maintains, per protection device:
 
 * the device's subtree power (float mirror for trip arithmetic, plus an
-  exact :class:`~fractions.Fraction` mirror for the energy ledger);
+  exact scaled-integer mirror for the energy ledger);
 * the inverse-time thermal accumulator, settled *lazily*: server powers
   are piecewise constant, so the accumulator is piecewise linear and
   ``A(t) = clamp(A0 + rate * (t - t0), 0, ·)`` is exact — no per-tick
@@ -26,14 +26,22 @@ least ``cooldown_s`` has passed. Trips arriving while another device is
 down (or within ``cascade_window_s`` of the last trip) are flagged as
 cascade members.
 
-The energy ledger accumulates per-device subtree energy in exact
-rational arithmetic (float timestamps and powers are dyadic rationals,
-so every product is exact). Because each server power change applies
-the *same* Fraction delta to the server fuse, its rack PDU, and the row
-breaker at the same instant, conservation — row energy equals the sum
-of rack energies equals the sum of server energies, across any pattern
-of trips — holds as an identity in ℚ, and
-:attr:`PowerFailReport.energy_conserved_exactly` checks it exactly.
+The energy ledger accumulates per-device subtree energy exactly. Every
+float is a dyadic rational ``n / 2**k``, so the ledger keeps powers as
+integers over ``2**power_shift``, times over ``2**time_shift`` and
+energies over ``2**(power_shift + time_shift)``. Sums and products of
+such integers are exact, and the shared shifts only grow: a value with
+more fractional bits than any seen so far rescales every stored
+numerator (a left shift, also exact) before it enters the ledger.
+Because each server power change applies the *same* integer delta to
+the server fuse, its rack PDU, and the row breaker at the same instant,
+while every device still integrates its own energy, conservation — row
+energy equals the sum of rack energies equals the sum of server
+energies, across any pattern of trips — holds as an identity of
+integers, and :attr:`PowerFailReport.energy_conserved_exactly` checks
+it exactly. The ledger becomes floats only in
+:meth:`ProtectionRuntime.finalize`, by correctly rounded integer
+division.
 """
 
 from __future__ import annotations
@@ -82,13 +90,24 @@ class PowerFailReport:
     trip_log: List[Dict[str, Any]] = field(default_factory=list)
 
 
+def _dyadic(x: float) -> Tuple[int, int]:
+    """``(n, k)`` with ``x == n / 2**k`` exactly."""
+    n, d = x.as_integer_ratio()
+    return n, d.bit_length() - 1
+
+
 class _DeviceState:
-    """Mutable per-device state (accumulator, power mirrors, outage)."""
+    """Mutable per-device state (accumulator, power mirrors, outage).
+
+    ``power_n``, ``energy_n`` and ``energy_t`` are the exact ledger:
+    integer numerators over the runtime's shared power, energy and time
+    denominators (see :class:`ProtectionRuntime`).
+    """
 
     __slots__ = (
         "device", "power_w", "acc", "acc_t", "rate", "epoch", "tripped",
         "risk_active", "trip_t", "trip_overload", "to_restore",
-        "restore_version", "power_frac", "energy_frac", "energy_t",
+        "restore_version", "power_n", "energy_n", "energy_t",
     )
 
     def __init__(self, device: ProtectionDevice) -> None:
@@ -104,13 +123,19 @@ class _DeviceState:
         self.trip_overload = 0.0
         self.to_restore: List[int] = []
         self.restore_version = 0
-        self.power_frac = Fraction(0)
-        self.energy_frac = Fraction(0)
-        self.energy_t = Fraction(0)
+        self.power_n = 0
+        self.energy_n = 0
+        self.energy_t = 0
 
 
 class ProtectionRuntime:
-    """Tracks every protection device through one simulation run."""
+    """Tracks every protection device through one simulation run.
+
+    The exact energy ledger holds every power as an integer over
+    ``2**_power_shift``, every ledger time as an integer over
+    ``2**_time_shift`` and every energy over ``2**(_power_shift +
+    _time_shift)``.
+    """
 
     def __init__(
         self,
@@ -124,7 +149,8 @@ class ProtectionRuntime:
         self.curve = spec.curve
         self.report = PowerFailReport()
         self._duration = duration_s
-        self._duration_frac = Fraction(duration_s)
+        self._power_shift = 0
+        self._time_shift = 0
         self._states: Dict[str, _DeviceState] = {
             d.device_id: _DeviceState(d) for d in topology.devices
         }
@@ -142,12 +168,10 @@ class ProtectionRuntime:
         for state in self._states.values():
             power = sum(initial_powers[i] for i in state.device.servers)
             state.power_w = power
-            if spec.exact_energy_ledger:
-                state.power_frac = sum(
-                    (Fraction(initial_powers[i])
-                     for i in state.device.servers),
-                    Fraction(0),
-                )
+        for chain, power in zip(self._chains, initial_powers):
+            power_n = self._power_int(power)
+            for state in chain:
+                state.power_n += power_n
 
     # ------------------------------------------------------------------
     # Accumulator settlement and crossing projection
@@ -213,23 +237,47 @@ class ProtectionRuntime:
     ) -> List[QueuePush]:
         """Apply one server's power change to its device chain.
 
-        Returns projection events the simulator must enqueue. A no-op
-        change returns an empty list without touching any state.
+        Returns projection events the simulator must enqueue. A change
+        equal to the server's float power returns an empty list and
+        leaves the trip state alone.
         """
         chain = self._chains[index]
-        old = chain[0].power_w
+        server = chain[0]
+        old = server.power_w
+        new_n = self._power_int(new_power_w)
+        delta_n = new_n - server.power_n
+        # Clamp to the reported window (see ``_settle``); the ledger
+        # settles to the same instant.
+        te = t if t <= self._duration else self._duration
         if new_power_w == old:
+            # The float mirror accumulates rounded deltas, so it can
+            # equal a new power the ledger has not seen yet.
+            if delta_n:
+                te_n = self._time_int(te)
+                for state in chain:
+                    self._settle_energy(state, te_n)
+                    state.power_n += delta_n
             return []
         delta = new_power_w - old
-        ledger = self.spec.exact_energy_ledger
-        delta_frac = (Fraction(new_power_w) - chain[0].power_frac) \
-            if ledger else Fraction(0)
+        te_n = self._time_int(te)
+        peak = self.report.peak_accumulator
         pushes: List[QueuePush] = []
         for state in chain:
-            self._settle(state, t)
-            if ledger:
-                self._settle_energy(state, t)
-                state.power_frac += delta_frac
+            # _settle(state, t), inlined.
+            dt = te - state.acc_t
+            if dt > 0.0:
+                if state.rate != 0.0:
+                    acc = state.acc + state.rate * dt
+                    state.acc = acc if acc > 0.0 else 0.0
+                    if state.acc > peak:
+                        peak = self.report.peak_accumulator = state.acc
+                state.acc_t = te
+            # _settle_energy(state, te_n), inlined.
+            dt_n = te_n - state.energy_t
+            if dt_n > 0:
+                state.energy_n += state.power_n * dt_n
+                state.energy_t = te_n
+            state.power_n += delta_n
             state.power_w += delta
             self._reproject(state, t, pushes)
         return pushes
@@ -417,6 +465,12 @@ class ProtectionRuntime:
             return state.acc
         return max(0.0, state.acc + state.rate * dt)
 
+    def exact_energy_j(self, device_id: str) -> Fraction:
+        """The device's exact ledger energy up to its last settlement
+        (:meth:`finalize` settles every device to ``duration_s``)."""
+        scale = 1 << (self._power_shift + self._time_shift)
+        return Fraction(self._states[device_id].energy_n, scale)
+
     def offline_stats(self, peak_server_w: float) -> Tuple[float, float]:
         """(offline capacity in W, offline fraction of the fleet)."""
         n_total = len(self._chains)
@@ -426,40 +480,62 @@ class ProtectionRuntime:
     # ------------------------------------------------------------------
     # Exact energy ledger
     # ------------------------------------------------------------------
-    def _settle_energy(self, state: _DeviceState, t: float) -> None:
-        # Clamp to the reported window, like the simulator's own energy
-        # integral: in-flight drain past duration_s is not accounted.
-        te = Fraction(t)
-        if te > self._duration_frac:
-            te = self._duration_frac
-        dt = te - state.energy_t
-        if dt > 0:
-            state.energy_frac += state.power_frac * dt
-            state.energy_t = te
+    def _power_int(self, power_w: float) -> int:
+        """``power_w`` as an exact numerator over ``2**_power_shift``."""
+        n, k = _dyadic(power_w)
+        if k > self._power_shift:
+            self._rescale(k - self._power_shift, 0)
+        return n << (self._power_shift - k)
+
+    def _time_int(self, t: float) -> int:
+        """``t`` as an exact numerator over ``2**_time_shift``."""
+        n, k = _dyadic(t)
+        if k > self._time_shift:
+            self._rescale(0, k - self._time_shift)
+        return n << (self._time_shift - k)
+
+    def _settle_energy(self, state: _DeviceState, te_n: int) -> None:
+        """Integrate the device's power up to ledger time ``te_n``."""
+        dt_n = te_n - state.energy_t
+        if dt_n > 0:
+            state.energy_n += state.power_n * dt_n
+            state.energy_t = te_n
+
+    def _rescale(self, power_bits: int, time_bits: int) -> None:
+        """Refine the shared denominators; every stored value is kept."""
+        for state in self._states.values():
+            state.power_n <<= power_bits
+            state.energy_t <<= time_bits
+            state.energy_n <<= power_bits + time_bits
+        self._power_shift += power_bits
+        self._time_shift += time_bits
 
     def finalize(self, t_end: float) -> PowerFailReport:
-        """Settle everything to the end of the run and fill the report."""
+        """Settle everything to the end of the run and fill the report.
+
+        The ledger settles to ``duration_s`` whatever ``t_end``: power
+        is constant after the last change, and, like the simulator's
+        own energy integral, drain past the horizon is not accounted.
+        """
         report = self.report
         for _index, (_owner, since) in self._deenergized.items():
             report.offline_server_seconds += max(
                 0.0, self._duration - min(since, self._duration)
             )
-        if self.spec.exact_energy_ledger:
-            for state in self._states.values():
-                self._settle_energy(state, max(t_end, self._duration))
-            row = self._states["row"].energy_frac
-            racks = sum(
-                (s.energy_frac for s in self._states.values()
-                 if s.device.level == "rack"),
-                Fraction(0),
-            )
-            servers = sum(
-                (s.energy_frac for s in self._states.values()
-                 if s.device.level == "server"),
-                Fraction(0),
-            )
-            report.energy_row_j = float(row)
-            report.energy_racks_j = float(racks)
-            report.energy_servers_j = float(servers)
-            report.energy_conserved_exactly = (row == racks == servers)
+        end_n = self._time_int(self._duration)
+        states = self._states.values()
+        for state in states:
+            self._settle_energy(state, end_n)
+        row = self._states["row"].energy_n
+        racks = sum(s.energy_n for s in states if s.device.level == "rack")
+        servers = sum(
+            s.energy_n for s in states if s.device.level == "server"
+        )
+        # int / int is correctly rounded, so each total is the float
+        # nearest the exact energy.
+        scale = 1 << (self._power_shift + self._time_shift)
+        report.energy_row_j = row / scale
+        report.energy_racks_j = racks / scale
+        report.energy_servers_j = servers / scale
+        report.energy_conserved_exactly = (row == racks == servers)
         return report

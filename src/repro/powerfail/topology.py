@@ -127,9 +127,6 @@ class ProtectionSpec:
             re-energization avoids re-tripping on inrush).
         cascade_window_s: A trip within this window of a prior trip is
             counted as part of a cascade.
-        exact_energy_ledger: Keep the exact (Fraction-arithmetic)
-            per-device energy ledger used by the conservation
-            cross-check. Never affects trip behavior.
         emergency: The shed/safe-mode response (see
             :class:`~repro.control.emergency.EmergencyConfig`).
     """
@@ -143,7 +140,6 @@ class ProtectionSpec:
     restore_batch: int = 2
     restore_stagger_s: float = 10.0
     cascade_window_s: float = 60.0
-    exact_energy_ledger: bool = True
     emergency: EmergencyConfig = field(default_factory=EmergencyConfig)
 
     def __post_init__(self) -> None:

@@ -253,7 +253,8 @@ class TestCheckpointRestoreProperty:
         self, seed, epoch, adversarial
     ):
         """Restore at epoch k + replay == straight-through, including
-        under adversarial faults and powerfail breaker trips."""
+        under adversarial faults and powerfail breaker trips, down to
+        the bits of the protection report and its exact energy ledger."""
         duration = 240.0
         config = tripping_config(seed=seed, adversarial=adversarial)
         requests = make_requests(4.0, duration, seed=seed)
@@ -293,6 +294,11 @@ class TestCheckpointRestoreProperty:
             assert result_to_dict(resumed) == expected, (
                 f"checkpoint restore at t={when} diverged"
             )
+            # repr round-trips every float, so equal reprs are equal bits.
+            assert repr(resumed.powerfail) == repr(straight.powerfail), (
+                f"protection ledger diverged after restore at t={when}"
+            )
+            assert resumed.powerfail.energy_conserved_exactly
 
 
     def test_restore_needs_a_fresh_matching_template(self):

@@ -1,5 +1,7 @@
 """Cross-module property-based tests on the library's core invariants."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -235,6 +237,104 @@ def _random_topology(n_servers, servers_per_rack, spec=None):
     ), spec
 
 
+_LEDGER_DURATION = 700.0
+_LEDGER_HORIZON = 800.0
+# Subnormal, tiny, huge and zero powers next to ordinary ones.
+_LEDGER_POWERS = st.one_of(
+    st.floats(min_value=0.0, max_value=3000.0),
+    st.sampled_from([
+        0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1.0, 2.0 ** 60,
+        1e300,
+    ]),
+)
+# Repeated times, the horizon itself, and times past it.
+_LEDGER_TIMES = st.one_of(
+    st.floats(min_value=0.0, max_value=_LEDGER_HORIZON),
+    st.sampled_from([
+        0.0, 5e-324, 1.0, 350.0, _LEDGER_DURATION, _LEDGER_DURATION + 50.0,
+    ]),
+)
+
+
+class _ReferenceLedger:
+    """The exact energy ledger, kept independently in plain Fractions.
+
+    Each device integrates the exact sum of its servers' most recently
+    applied powers over ``[0, duration_s]``.
+    """
+
+    def __init__(self, topology, duration_s, initial_powers):
+        self.duration = Fraction(duration_s)
+        self.chains = topology.chains
+        self.server = [Fraction(p) for p in initial_powers]
+        self.power = {
+            d.device_id: sum(
+                (self.server[i] for i in d.servers), Fraction(0)
+            )
+            for d in topology.devices
+        }
+        self.energy = {d.device_id: Fraction(0) for d in topology.devices}
+        self.since = {d.device_id: Fraction(0) for d in topology.devices}
+
+    def settle(self, device_id, t):
+        t = min(Fraction(t), self.duration)
+        if t > self.since[device_id]:
+            self.energy[device_id] += (
+                self.power[device_id] * (t - self.since[device_id])
+            )
+            self.since[device_id] = t
+
+    def set_power(self, t, index, power):
+        delta = Fraction(power) - self.server[index]
+        self.server[index] = Fraction(power)
+        for device_id in self.chains[index]:
+            self.settle(device_id, t)
+            self.power[device_id] += delta
+
+
+def _check_ledger_against_reference(
+    n_servers, servers_per_rack, initial, updates
+):
+    """Drive a runtime and a :class:`_ReferenceLedger` with the same
+    power changes; assert they agree exactly. Returns the report."""
+    from repro.powerfail.protection import ProtectionRuntime
+
+    topology, spec = _random_topology(n_servers, servers_per_rack)
+    initial_powers = [initial] * n_servers
+    runtime = ProtectionRuntime(
+        topology, spec, duration_s=_LEDGER_DURATION,
+        initial_powers=initial_powers,
+    )
+    reference = _ReferenceLedger(topology, _LEDGER_DURATION, initial_powers)
+    update = runtime.update_server_power
+
+    def audited_update(t, index, power):
+        reference.set_power(t, index, power)
+        return update(t, index, power)
+
+    # Every change the drive loop applies (scheduled, trip drains and
+    # staged restores) reaches both ledgers.
+    runtime.update_server_power = audited_update
+    report = _drive_protection(runtime, updates, horizon=_LEDGER_HORIZON)
+
+    devices = topology.devices
+    for device in devices:
+        reference.settle(device.device_id, _LEDGER_DURATION)
+        assert runtime.exact_energy_j(device.device_id) == \
+            reference.energy[device.device_id], device.device_id
+    row = reference.energy["row"]
+    racks = sum(reference.energy[d.device_id] for d in devices
+                if d.level == "rack")
+    servers = sum(reference.energy[d.device_id] for d in devices
+                  if d.level == "server")
+    assert row == racks == servers
+    assert report.energy_row_j.hex() == float(row).hex()
+    assert report.energy_racks_j.hex() == float(racks).hex()
+    assert report.energy_servers_j.hex() == float(servers).hex()
+    assert report.energy_conserved_exactly
+    return report
+
+
 def _drive_protection(runtime, updates, horizon, idle_w=100.0):
     """A miniature event loop around :class:`ProtectionRuntime`.
 
@@ -365,6 +465,78 @@ class TestProtectionProperties:
         assert report.energy_conserved_exactly
         assert report.energy_row_j == report.energy_racks_j
         assert report.energy_racks_j == report.energy_servers_j
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_servers=st.integers(min_value=1, max_value=6),
+        servers_per_rack=st.integers(min_value=1, max_value=4),
+        initial=_LEDGER_POWERS,
+        schedule=st.lists(
+            st.tuples(
+                _LEDGER_TIMES,
+                st.integers(min_value=0, max_value=9),
+                _LEDGER_POWERS,
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+    )
+    def test_energy_ledger_matches_a_fraction_reference(
+        self, n_servers, servers_per_rack, initial, schedule
+    ):
+        """Every device's exact energy equals an independent Fraction
+        ledger, and the reported totals are its floats bit for bit —
+        for subnormal and huge powers, zero power, repeated times,
+        times at and past the horizon, and trips mid-sequence."""
+        updates = sorted(
+            (t, index % n_servers, power) for t, index, power in schedule
+        )
+        _check_ledger_against_reference(
+            n_servers, servers_per_rack, initial, updates
+        )
+
+    def test_energy_ledger_reference_edge_cases(self):
+        """The edge cases in one schedule, with a trip mid-sequence."""
+        updates = [
+            (0.0, 0, 0.0),
+            (0.0, 1, 5e-324),
+            (1.0, 2, 1e300),
+            (1.0, 2, 1.0),                # float mirror rounds to 0.0
+            (1.0, 1, 2.2250738585072014e-308),
+            (2.0, 2, 0.0),                # equals the mirror, not 1.0
+            (5e-324, 3, 150.0),
+            (350.0, 0, 2500.0),           # fuse trips mid-run
+            (350.0, 3, 0.1),
+            (_LEDGER_DURATION, 1, 900.0),
+            (_LEDGER_DURATION + 50.0, 3, 2999.5),
+        ]
+        report = _check_ledger_against_reference(
+            4, 2, 100.0, sorted(updates)
+        )
+        assert report.trips >= 2
+
+    @pytest.mark.parametrize("device_id", ["fuse3", "rack1", "row"])
+    def test_tampered_ledger_breaks_conservation(self, device_id):
+        """The conservation check is not vacuous: one unit in the last
+        place of any one device's exact energy makes it fail, so no
+        level's total is derived from its children."""
+        from repro.powerfail.protection import ProtectionRuntime
+
+        def run(tamper):
+            topology, spec = _random_topology(4, 2)
+            runtime = ProtectionRuntime(
+                topology, spec, duration_s=_LEDGER_DURATION,
+                initial_powers=[100.0] * 4,
+            )
+            for t, index, power in [(1.0, 0, 400.25), (2.5, 3, 0.0),
+                                    (9.0, 0, 3.0)]:
+                runtime.update_server_power(t, index, power)
+            if tamper:
+                runtime._states[device_id].energy_n += 1
+            return runtime.finalize(_LEDGER_DURATION)
+
+        assert run(tamper=False).energy_conserved_exactly
+        assert not run(tamper=True).energy_conserved_exactly
 
     @settings(max_examples=6, deadline=None)
     @given(st.integers(min_value=0, max_value=100))
