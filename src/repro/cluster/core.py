@@ -22,13 +22,16 @@ pins bit-identity to the original simulator):
   :meth:`SimulationCore.checkpoint` can encode a mid-flight run and
   :meth:`SimulationCore.restore` rebuild it, so
   :mod:`repro.exec.incremental` can resume it under a different
-  controller. A checkpoint holds only what the run has changed: the
-  immutables every core of one config, trace and duration shares
-  (requests, config, power model, per-server specs, the policy) are
-  written as references resolved against a freshly started template
-  core, and the static event schedule is written as the cursor into
-  the template's copy. Cores also pickle whole (``__getstate__``
-  re-keys the id-keyed maps).
+  controller. A checkpoint holds only what the run has changed, and
+  its size does not grow with simulated time: the immutables every
+  core of one config, trace and duration shares (requests, config,
+  power model, per-server specs, the policy) are left out or written
+  as indices and resolved against a freshly started template core,
+  the static event schedule is written as the cursor into the
+  template's copy, and the append-only series (latencies, power
+  samples) as their lengths, sliced back out of the final series of
+  a run that shares the prefix (:class:`RunSeries`). Cores also
+  pickle whole (``__getstate__`` re-keys the id-keyed maps).
 
 Per-event-kind kernel timing (:class:`KernelTimers`) is opt-in and
 surfaces in ``result.observability["sim_core"]`` so hot-path regressions
@@ -37,9 +40,12 @@ show up in traces.
 
 from __future__ import annotations
 
+import copyreg
 import io
 import math
 import pickle
+from array import array
+from dataclasses import dataclass
 from heapq import heappop
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -66,10 +72,38 @@ from repro.workloads.requests import SampledRequest
 from repro.workloads.spec import Priority
 
 
-#: Checkpoint state attributes pickled without reference lookups
-#: (:meth:`SimulationCore.checkpoint`): per-tier metrics, whose latency
-#: lists never hold a shared object.
-_PLAIN_STATE = ("metrics", "workload_metrics")
+#: Core attributes every core of one config, trace and duration shares
+#: (equal objects, or the very same ones): a checkpoint leaves them out
+#: and :meth:`SimulationCore.restore` takes them from its template.
+_TEMPLATE_STATE = (
+    "config", "policy", "power_model", "requests", "reliability",
+    "protection", "emergency", "_index_by_priority", "_ids_by_priority",
+    "_all_ids", "server_index",
+)
+
+
+@dataclass(frozen=True)
+class RunSeries:
+    """The append-only series of a run, as of when they were taken.
+
+    At any point of a run each series is a prefix of its final value, so
+    a checkpoint records only their lengths and
+    :meth:`SimulationCore.restore` slices them back out of the series
+    of any run whose trajectory equals the checkpointed one up to the
+    checkpoint (in particular, the checkpointed run's own final series).
+
+    Attributes:
+        latencies: Per-priority latency lists (``metrics``).
+        workload_latencies: Per-workload latency lists
+            (``workload_metrics``).
+        power_samples: The row power samples taken.
+        util_samples: The utilizations a recorded run observed.
+    """
+
+    latencies: Dict[Priority, array]
+    workload_latencies: Dict[str, array]
+    power_samples: np.ndarray
+    util_samples: array
 
 
 #: Every event kind; ``SimulationCore._on_<kind>`` handles it.
@@ -195,6 +229,9 @@ class SimulationCore:
         self.util_hist = None
         self.latency_hists: Optional[Dict[Priority, Any]] = None
         self.request_ids: Dict[int, int] = {}
+        # The checkpoint pickler's dispatch table, built at the first
+        # checkpoint (see :meth:`_reducers`).
+        self._checkpoint_reducers: Optional[Dict[type, Callable]] = None
         # Per-tick utilization observations, batched into the
         # control.utilization histogram at finalize (appending a float
         # is far cheaper than a per-tick histogram update). Carried
@@ -432,9 +469,10 @@ class SimulationCore:
         state["util_hist"] = None
         state["latency_hists"] = None
         state["request_ids"] = None
+        state["_checkpoint_reducers"] = None
         state["_power_memo"] = None
         if self.defer_counts:
-            index_of = {id(r): i for i, r in enumerate(self.requests)}
+            index_of = self._request_index()
             state["defer_counts"] = {
                 index_of[key]: count
                 for key, count in self.defer_counts.items()
@@ -446,6 +484,7 @@ class SimulationCore:
         self._power_memo = power_memo(self.power_model)
         self.recorder = NULL_RECORDER
         self.request_ids = {}
+        self._checkpoint_reducers = None
         if self.defer_counts:
             self.defer_counts = {
                 id(self.requests[i]): count
@@ -478,69 +517,94 @@ class SimulationCore:
             for p in Priority
         }
         self._cache_metric_handles()
-        self.request_ids = {id(r): i for i, r in enumerate(self.requests)}
+        self._request_index()
 
-    def _shared_objects(self) -> Dict[Any, Any]:
-        """The immutables of this run that checkpoints refer to by key.
+    def _request_index(self) -> Dict[int, int]:
+        """``id(request) -> arrival index``, built once per core.
 
-        Every core started from the same config, trace and duration
-        holds equal objects under the same keys, so a checkpoint
-        resolves them against any freshly started template core. The
-        requests themselves are keyed by arrival index.
+        Recording identifies requests by it; checkpoints write requests
+        as it.
         """
-        shared = {
-            "requests": self.requests,
-            "policy": self.policy,
-            "config": self.config,
-            "power_model": self.power_model,
-            "reliability": self.reliability,
-            "index_by_priority": self._index_by_priority,
-            "ids_by_priority": self._ids_by_priority,
-            "all_ids": self._all_ids,
-        }
-        for i, server in enumerate(self.servers):
-            shared[i, "model"] = server.model
-            shared[i, "spec"] = server._spec
-            shared[i, "profile"] = server._profile
-            shared[i, "token_activity"] = server._token_activity
-        return shared
+        if not self.request_ids:
+            self.request_ids = {
+                id(r): i for i, r in enumerate(self.requests)
+            }
+        return self.request_ids
+
+    def _reducers(self) -> Dict[type, Callable]:
+        """The checkpoint pickler's dispatch table (built once per core).
+
+        A request is written as its arrival index and a server as its
+        row index plus :meth:`~repro.cluster.server_sim.ServerSim
+        .run_state`; the unpickler resolves both against the template
+        core. A numpy ``Generator`` is written as its bit generator's
+        state (a fifth of the cost of its own pickling). Everything
+        else pickles as usual, with no per-object Python call.
+        """
+        table = self._checkpoint_reducers
+        if table is None:
+            index_of = self._request_index()
+            server_index = self.server_index
+
+            def reduce_request(request: SampledRequest) -> Tuple:
+                return _request_at, (index_of[id(request)],)
+
+            def reduce_server(server: ServerSim) -> Tuple:
+                return _server_at, (
+                    server_index[server.server_id], server.run_state()
+                )
+
+            table = dict(copyreg.dispatch_table)
+            table[SampledRequest] = reduce_request
+            table[ServerSim] = reduce_server
+            table[np.random.Generator] = _reduce_generator
+            self._checkpoint_reducers = table
+        return table
+
+    def series(self) -> RunSeries:
+        """Copies of this run's append-only series as they are now."""
+        return RunSeries(
+            latencies={
+                p: array("d", tier.latencies)
+                for p, tier in self.metrics.items()
+            },
+            workload_latencies={
+                name: array("d", tier.latencies)
+                for name, tier in self.workload_metrics.items()
+            },
+            power_samples=self.power_samples[:self.sample_cursor].copy(),
+            util_samples=array("d", self._util_samples),
+        )
 
     def checkpoint(self) -> bytes:
         """Encode this mid-flight run as a compact checkpoint blob.
 
-        The blob holds only what the run has changed: the shared
-        immutables (:meth:`_shared_objects` and every request) are
-        written as references, the static event schedule as the cursor
-        into it, and the power samples up to the last tick taken. Like
-        a plain pickle of the core, it excludes the recorder and the
-        metrics registry. :meth:`restore` rebuilds the core.
+        The blob holds only what the run has changed, and its size does
+        not grow with simulated time: the shared immutables
+        (``_TEMPLATE_STATE``, each server's model and tables) are left
+        out, requests are written as their arrival index, the static
+        event schedule as the cursor into it, and the append-only
+        series (:class:`RunSeries`) as their lengths. Like a plain
+        pickle of the core, it excludes the recorder and the metrics
+        registry. :meth:`restore` rebuilds the core.
         """
-        if not self.request_ids:
-            # The arrival-index map recording keeps; built once here for
-            # unrecorded runs, which checkpoint many times.
-            self.request_ids = {
-                id(r): i for i, r in enumerate(self.requests)
-            }
-        keys: Dict[int, Any] = dict(self.request_ids)
-        for key, obj in self._shared_objects().items():
-            keys[id(obj)] = key
         state = self.__getstate__()
+        for name in _TEMPLATE_STATE:
+            del state[name]
         state["queue"] = self.queue.snapshot()
-        state["power_samples"] = self.power_samples[:self.sample_cursor]
-        # The latency lists are most of the state and hold no shared
-        # object: the plain pickler skips the per-object reference
-        # lookup for them.
-        for name in _PLAIN_STATE:
-            state[name] = pickle.dumps(
-                state[name], protocol=pickle.HIGHEST_PROTOCOL
-            )
+        state["power_samples"] = None  # ``sample_cursor`` long
+        state["metrics"] = _tier_lengths(self.metrics)
+        state["workload_metrics"] = _tier_lengths(self.workload_metrics)
+        state["_util_samples"] = len(self._util_samples)
         buffer = io.BytesIO()
-        _CheckpointPickler(buffer, keys).dump(state)
+        pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
+        pickler.dispatch_table = self._reducers()
+        pickler.dump(state)
         return buffer.getvalue()
 
     @classmethod
     def restore(
-        cls, blob: bytes, template: "SimulationCore"
+        cls, blob: bytes, template: "SimulationCore", series: RunSeries
     ) -> "SimulationCore":
         """Rebuild the core a :meth:`checkpoint` blob encodes.
 
@@ -549,10 +613,14 @@ class SimulationCore:
         requests, duration_s)``. It supplies the shared immutables and
         the static event schedule and is left unmodified; the restored
         core runs under the template's policy and replays unrecorded.
+        ``series`` holds the append-only series the blob records by
+        length: :meth:`series` of the checkpointed run taken at or after
+        the checkpoint, or of a run that matches it up to there.
 
         Raises:
-            SimulationError: If the template has started running, or
-                its static schedule differs from the checkpointed run's.
+            SimulationError: If the template has started running, its
+                static schedule differs from the checkpointed run's, or
+                ``series`` is shorter than the checkpointed run's.
         """
         state = _CheckpointUnpickler(io.BytesIO(blob), template).load()
         n_static = template.n_static
@@ -561,13 +629,20 @@ class SimulationCore:
                 "restore needs a freshly started template of the "
                 "checkpointed run's config, trace and duration"
             )
+        for name in _TEMPLATE_STATE:
+            state[name] = getattr(template, name)
         state["queue"] = EventQueue.resume(template.queue, state["queue"])
-        prefix = state["power_samples"]
+        cursor = state["sample_cursor"]
         samples = np.empty(state["scheduled_ticks"], dtype=np.float64)
-        samples[:len(prefix)] = prefix
+        samples[:cursor] = _prefix(series.power_samples, cursor)
         state["power_samples"] = samples
-        for name in _PLAIN_STATE:
-            state[name] = pickle.loads(state[name])
+        state["metrics"] = _sliced_tiers(state["metrics"], series.latencies)
+        state["workload_metrics"] = _sliced_tiers(
+            state["workload_metrics"], series.workload_latencies
+        )
+        state["_util_samples"] = _prefix(
+            series.util_samples, state["_util_samples"]
+        ).tolist()
         core = cls.__new__(cls)
         core.__setstate__(state)
         return core
@@ -1647,26 +1722,75 @@ class SimulationCore:
         )
 
 
-class _CheckpointPickler(pickle.Pickler):
-    """Writes the objects in ``keys`` (by ``id``) as references."""
+def _tier_lengths(
+    tiers: Dict[Any, PriorityMetrics]
+) -> Tuple[Tuple[Any, int, int, int], ...]:
+    """Per tier, in order: (key, latencies recorded, served, dropped)."""
+    return tuple(
+        (key, len(tier.latencies), tier.served, tier.dropped)
+        for key, tier in tiers.items()
+    )
 
-    def __init__(self, file: io.BytesIO, keys: Dict[int, Any]) -> None:
-        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
-        self._keys = keys
 
-    def persistent_id(self, obj: Any) -> Any:
-        return self._keys.get(id(obj))
+def _prefix(values: Any, length: int) -> Any:
+    if len(values) < length:
+        raise SimulationError(
+            "restore series are shorter than the checkpointed run's"
+        )
+    return values[:length]
+
+
+def _sliced_tiers(
+    lengths: Tuple[Tuple[Any, int, int, int], ...],
+    latencies: Dict[Any, array],
+) -> Dict[Any, PriorityMetrics]:
+    """Inverse of :func:`_tier_lengths` over the final latency series."""
+    tiers = {}
+    for key, length, served, dropped in lengths:
+        if key not in latencies:
+            raise SimulationError(
+                f"restore series lack the {key!r} tier"
+            )
+        tiers[key] = PriorityMetrics(
+            _prefix(latencies[key], length).tolist(), served, dropped
+        )
+    return tiers
+
+
+def _reduce_generator(rng: np.random.Generator) -> Tuple:
+    return _generator_from_state, (rng.bit_generator.state,)
+
+
+def _generator_from_state(state: Dict[str, Any]) -> np.random.Generator:
+    """A numpy ``Generator`` whose bit generator is in ``state``."""
+    bit_generator = getattr(np.random, state["bit_generator"])()
+    bit_generator.state = state
+    return np.random.Generator(bit_generator)
+
+
+def _request_at(index: int) -> SampledRequest:
+    """Checkpoint placeholder for the request at an arrival index."""
+    raise SimulationError("checkpoints load only through restore()")
+
+
+def _server_at(index: int, state: Tuple) -> ServerSim:
+    """Checkpoint placeholder for a server at a row index."""
+    raise SimulationError("checkpoints load only through restore()")
 
 
 class _CheckpointUnpickler(pickle.Unpickler):
-    """Resolves checkpoint references against a template core."""
+    """Resolves checkpoint placeholders against a template core."""
 
     def __init__(self, file: io.BytesIO, template: SimulationCore) -> None:
         super().__init__(file)
-        self._requests = template.requests
-        self._shared = template._shared_objects()
+        servers = template.servers
+        self._placeholders = {
+            "_request_at": template.requests.__getitem__,
+            "_server_at":
+                lambda index, state: servers[index].restored(state),
+        }
 
-    def persistent_load(self, key: Any) -> Any:
-        if type(key) is int:
-            return self._requests[key]
-        return self._shared[key]
+    def find_class(self, module: str, name: str) -> Any:
+        if module == __name__ and name in self._placeholders:
+            return self._placeholders[name]
+        return super().find_class(module, name)

@@ -42,35 +42,57 @@ class LoadBalancer:
             raise ConfigurationError("load balancer needs at least one server")
         self.servers = servers
         self.seed = seed
+        self._rng = np.random.default_rng(seed)
+        self._level: List[int] = [-1] * len(servers)
+        self._partition(None)
+        for index in range(len(servers)):
+            self.sync(index)
+
+    def _partition(self, masks: Optional[List[List[int]]]) -> None:
+        """Split the servers into pools and lay out the routing index.
+
+        ``masks`` are the per-pool level masks in ``Priority`` order
+        (restored from :meth:`__getstate__`), or ``None`` for empty ones.
+        """
         self._pools: Dict[Priority, List[ServerSim]] = {
             priority: [] for priority in Priority
         }
-        for server in servers:
+        for server in self.servers:
             self._pools[server.priority].append(server)
         for priority, pool in self._pools.items():
             if not pool:
                 raise ConfigurationError(
                     f"no servers allocated to the {priority.value} pool"
                 )
-        self._rng = np.random.default_rng(seed)
         # Per pool: (masks[level] with the buffer level last, the pool).
         self._index: Dict[Priority, Tuple[List[int], List[ServerSim]]] = {
-            priority: ([0] * (max(s.concurrency for s in pool) + 1), pool)
-            for priority, pool in self._pools.items()
+            priority: (
+                [0] * (max(s.concurrency for s in pool) + 1)
+                if masks is None else masks[position],
+                pool,
+            )
+            for position, (priority, pool) in enumerate(self._pools.items())
         }
-        # Per server (by row index): its pool's masks, its bit, and the
-        # level it is filed under (-1: none).
+        # Per server (by row index): its pool's masks and its bit. The
+        # level it is filed under (-1: none) is in ``_level``.
         self._slot: List[Tuple[List[int], int]] = []
-        self._level: List[int] = [-1] * len(servers)
         position = {priority: 0 for priority in Priority}
-        for server in servers:
+        for server in self.servers:
             self._slot.append((
                 self._index[server.priority][0],
                 1 << position[server.priority],
             ))
             position[server.priority] += 1
-        for index in range(len(servers)):
-            self.sync(index)
+
+    def __getstate__(self) -> Tuple:
+        # The pools and per-server slots follow from the servers; only
+        # the routing state travels.
+        return (self.servers, self.seed, self._rng, self._level,
+                [masks for masks, _ in self._index.values()])
+
+    def __setstate__(self, state: Tuple) -> None:
+        self.servers, self.seed, self._rng, self._level, masks = state
+        self._partition(masks)
 
     def pool(self, priority: Priority) -> List[ServerSim]:
         """The servers allocated to one priority tier."""

@@ -16,6 +16,7 @@ every server at every telemetry tick.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -232,6 +233,49 @@ class ServerSim:
             self._profile.token_activity(k)
             for k in range(1, self.concurrency + 1)
         ]
+
+    # ------------------------------------------------------------------
+    # Checkpoints
+    # ------------------------------------------------------------------
+    def run_state(self) -> Tuple[Any, ...]:
+        """What a run changes of this server: clocks, flags, the buffer
+        and each slot's request and progress, in slot order.
+
+        The identity, model and derived tables stay out; :meth:`restored`
+        takes them from an equal server.
+        """
+        return (
+            self.clock_ratio, self.braked, self.failed, self.buffered,
+            self._next_slot,
+            tuple(
+                (slot, a.request, a.phase_index, a.phase_end, a.version)
+                for slot, a in self.slots.items()
+            ),
+        )
+
+    def restored(self, state: Tuple[Any, ...]) -> "ServerSim":
+        """A copy of this server in the :meth:`run_state` ``state``.
+
+        The copy shares this server's immutables; each slot's phase
+        segments come from the timeline memo again.
+        """
+        server = copy.copy(self)
+        (server.clock_ratio, server.braked, server.failed, server.buffered,
+         server._next_slot, slots) = state
+        server.slots = {
+            slot: ActiveRequest(
+                request=request,
+                segments=cached_timeline_segments(
+                    self.model, self._spec,
+                    request.input_tokens, request.output_tokens,
+                ),
+                phase_index=phase_index,
+                phase_end=phase_end,
+                version=version,
+            )
+            for slot, request, phase_index, phase_end, version in slots
+        }
+        return server
 
     # ------------------------------------------------------------------
     # State queries

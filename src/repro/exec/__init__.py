@@ -18,10 +18,11 @@ grids into batches:
   ordering — parallel output is bit-identical to serial because every
   run is independently seeded and executed by the same code path;
 * :class:`~repro.exec.incremental.IncrementalExecutor` (enabled with
-  ``EvaluationHarness(incremental=True)``) checkpoints the first run of
-  each config/trace family and bit-exactly resumes later policy
-  variants from their first divergence, so deep-prefix grid sweeps skip
-  the shared simulation prefix instead of replaying it;
+  ``EvaluationHarness(incremental=True)``) checkpoints every full run
+  of each config/trace family and bit-exactly resumes later policy
+  variants from their first divergence against any of those runs, so
+  deep-prefix grid sweeps skip the shared simulation prefix instead of
+  replaying it;
 * :mod:`~repro.exec.profile` wraps ``cProfile``/``perf_counter`` —
   including the simulator's per-event-kind kernel timers via
   :func:`~repro.exec.profile.profile_kernels` — so hot-path work starts

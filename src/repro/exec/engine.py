@@ -242,7 +242,7 @@ class SweepEngine:
             pays off when prefix reuse beats process fan-out, i.e. on
             dense controller-parameter grids.
         checkpoint_epoch_s: Simulation-time spacing of the checkpoints
-            recorded during each family's first run (incremental mode).
+            recorded during each full run of a family (incremental mode).
         ledger: Experiment ledger receiving one entry per unique spec
             each batch — digest/family/trace identity, policy + seed,
             wall time, worker pid, provenance flags (cache hit,

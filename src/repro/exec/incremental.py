@@ -8,26 +8,34 @@ the simulation through exactly three calls per control step —
 policies that answer those calls identically produce bit-identical
 trajectories. This module exploits that:
 
-* the first run of a *family* (same :class:`~repro.cluster.simulator
-  .ClusterConfig` + duration, policy excluded — see
-  :func:`family_digest`) runs under a :class:`TapePolicy` that records
-  every control-step input/output pair, and writes compact
+* every *full* simulation of a *family* (same :class:`~repro.cluster
+  .simulator.ClusterConfig` + duration + trace, policy excluded — see
+  :func:`family_digest`) runs under a :class:`TapePolicy`, which
+  appends every control step's inputs and answers to a columnar
+  :class:`Tape`, and writes compact
   :meth:`~repro.cluster.core.SimulationCore.checkpoint` blobs at epoch
   boundaries into the :class:`~repro.exec.cache.RunCache` blob layer.
-  A checkpoint holds only the state the run changed; the trace, the
-  per-server specs and the static event schedule it references are
-  rebuilt from a freshly started template core on restore;
-* a later sweep point in the same family replays its *own* policy
-  against the recorded inputs to find the first control step where the
-  answers diverge, restores the latest checkpoint at or before that
-  step, replays the matching prefix into a fresh policy instance to
-  rebuild its hysteresis state, and simulates only the suffix;
-* a policy that matches the whole tape reuses the base result outright.
+  The run's tape, checkpoint times, final append-only series and result
+  digest join the family's list of tapes. A checkpoint holds only the
+  state the run changed, at a size that does not grow with simulated
+  time: the trace, the per-server specs and the static event schedule
+  are rebuilt from a freshly started template core on restore, and the
+  latency and power series are sliced back out of the tape's final
+  series;
+* a later sweep point probes its *own* policy against each of the
+  family's tapes. If one matches entirely, its result is reused
+  outright. Otherwise the point restores the latest checkpoint that any
+  tape's matching prefix covers, replays that prefix into a fresh
+  policy instance to rebuild its hysteresis state, and simulates only
+  the suffix;
+* a point that no checkpoint serves (it diverges before every tape's
+  first checkpoint) runs in full and leaves a tape of its own, so the
+  grid's later points can match it instead.
 
 The replay is sound because the recorded inputs (utilization, time,
 which brake call fires) are functions of the simulator trajectory,
 which is identical while the outputs match: the first divergence found
-against the tape is the first divergence of a real run. Checkpoints
+against a tape is the first divergence of a real run. Checkpoints
 restore bit-identically (every mutable object of the core round-trips,
 RNG streams included), so suffix replay equals straight-through
 simulation — the parity tests assert this exactly, adversarial fault
@@ -38,11 +46,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import pickle
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import (
+    Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.cluster.core import SimulationCore
 from repro.cluster.metrics import SimulationResult
@@ -62,13 +73,17 @@ from repro.obs.recorder import MemoryRecorder, TraceRecorder
 #: checkpointed prefix's events and record traces identical to a cold
 #: run's. Schema 3: checkpoints are compact
 #: :meth:`~repro.cluster.core.SimulationCore.checkpoint` blobs, and the
-#: decision tape is stored as columns (:func:`_encode_tape`). Schema 4:
-#: the protection runtime's energy ledger, pickled into checkpoints of
-#: protected runs, holds scaled integers instead of ``Fraction``\ s.
-#: Schema 5: checkpoints hold the event queue as a cursor into the
-#: static schedule plus the dynamic heap, the load balancer carries its
-#: routing index, and the per-server numpy mirror is gone.
-INCREMENTAL_SCHEMA = 5
+#: decision tape is stored as columns. Schema 4: the protection
+#: runtime's energy ledger, pickled into checkpoints of protected runs,
+#: holds scaled integers instead of ``Fraction``\ s. Schema 5:
+#: checkpoints hold the event queue as a cursor into the static
+#: schedule plus the dynamic heap, the load balancer carries its
+#: routing index, and the per-server numpy mirror is gone. Schema 6: a
+#: family keeps one tape per full simulation (``<family>-tapes``, with
+#: checkpoints ``<family>-ckpt-<tape>-<index>``); checkpoints record
+#: the append-only series by length, servers by their run state, and
+#: the tape stores the final series.
+INCREMENTAL_SCHEMA = 6
 
 
 def family_digest(spec: RunSpec) -> str:
@@ -116,20 +131,104 @@ class StepRecord:
     caps: GroupCaps
 
 
+#: ``StepRecord.brake_call``/``brake_result`` values by their code in
+#: the tape's ``brake_call``/``brake_result`` columns.
+_BRAKE_CALLS = (None, "want", "release")
+_BRAKE_RESULTS = (None, False, True)
+_WANT, _RELEASE = 1, 2
+
+
+class Tape:
+    """The control-step tape, one column per :class:`StepRecord` field.
+
+    Steps are appended in place; the caps column holds indices into
+    ``caps_table``, the distinct :class:`GroupCaps` in first-seen order.
+    Indexing yields :class:`StepRecord`\\ s, slicing a shorter tape, and
+    a tape compares equal to the list of its records.
+    """
+
+    __slots__ = ("now", "utilization", "brake_call", "brake_result",
+                 "caps", "caps_table", "_caps_index")
+
+    def __init__(self) -> None:
+        self.now = array("d")
+        self.utilization = array("d")
+        self.brake_call = array("b")
+        self.brake_result = array("b")
+        self.caps = array("i")
+        self.caps_table: List[GroupCaps] = []
+        self._caps_index: Dict[GroupCaps, int] = {}
+
+    @classmethod
+    def of(cls, records: Iterable[StepRecord]) -> "Tape":
+        tape = cls()
+        for r in records:
+            tape.append(
+                r.now, r.utilization, _BRAKE_CALLS.index(r.brake_call),
+                _BRAKE_RESULTS.index(r.brake_result), r.caps,
+            )
+        return tape
+
+    def append(
+        self, now: float, utilization: float, call: int, result: int,
+        caps: GroupCaps,
+    ) -> None:
+        """Append one step (``call``/``result`` are column codes)."""
+        self.now.append(now)
+        self.utilization.append(utilization)
+        self.brake_call.append(call)
+        self.brake_result.append(result)
+        index = self._caps_index.get(caps)
+        if index is None:
+            index = self._caps_index[caps] = len(self.caps_table)
+            self.caps_table.append(caps)
+        self.caps.append(index)
+
+    def __len__(self) -> int:
+        return len(self.now)
+
+    def __getitem__(self, key: Any) -> Any:
+        if isinstance(key, slice):
+            tape = Tape()
+            for name in ("now", "utilization", "brake_call",
+                         "brake_result", "caps"):
+                setattr(tape, name, getattr(self, name)[key])
+            tape.caps_table = list(self.caps_table)
+            tape._caps_index = dict(self._caps_index)
+            return tape
+        return StepRecord(
+            self.now[key], self.utilization[key],
+            _BRAKE_CALLS[self.brake_call[key]],
+            _BRAKE_RESULTS[self.brake_result[key]],
+            self.caps_table[self.caps[key]],
+        )
+
+    def __iter__(self) -> Iterator[StepRecord]:
+        return (self[index] for index in range(len(self)))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (Tape, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+
 class TapePolicy(PowerPolicy):
     """Forwarding wrapper that records the control-step tape.
 
     Wraps any :class:`~repro.cluster.policy_base.PowerPolicy` without
     changing its behavior: every call is forwarded verbatim (so the
     wrapped run stays bit-identical), and each ``desired_caps`` call —
-    the unconditional last policy call of a control step — closes one
-    :class:`StepRecord` on :attr:`tape`.
+    the unconditional last policy call of a control step — appends one
+    step to :attr:`tape`.
     """
 
     def __init__(self, inner: PowerPolicy) -> None:
         self.inner = inner
-        self.tape: List[StepRecord] = []
-        self._pending: Optional[Tuple[str, bool]] = None
+        self.tape = Tape()
+        self._call = 0
+        self._result = 0
         # Shadow the PowerPolicy *class* attributes with the wrapped
         # policy's values — class attributes resolve before
         # ``__getattr__``, which only covers names the base class does
@@ -146,107 +245,71 @@ class TapePolicy(PowerPolicy):
 
     def wants_brake(self, utilization: float) -> bool:
         result = self.inner.wants_brake(utilization)
-        self._pending = ("want", result)
+        self._call = _WANT
+        self._result = 2 if result else 1
         return result
 
     def brake_release_ok(self, utilization: float) -> bool:
         result = self.inner.brake_release_ok(utilization)
-        self._pending = ("release", result)
+        self._call = _RELEASE
+        self._result = 2 if result else 1
         return result
 
     def desired_caps(self, utilization: float, now: float = 0.0) -> GroupCaps:
         caps = self.inner.desired_caps(utilization, now)
-        call, result = self._pending if self._pending else (None, None)
-        self.tape.append(StepRecord(now, utilization, call, result, caps))
-        self._pending = None
+        self.tape.append(now, utilization, self._call, self._result, caps)
+        self._call = self._result = 0
         return caps
 
     def reset(self) -> None:
         self.inner.reset()
-        self.tape.clear()
-        self._pending = None
+        self.tape = Tape()
+        self._call = self._result = 0
 
 
-#: ``StepRecord.brake_call``/``brake_result`` values by their int8 code
-#: in the columnar tape.
-_BRAKE_CALLS = (None, "want", "release")
-_BRAKE_RESULTS = (None, False, True)
+def _replay(policy: PowerPolicy, tape: Tape, stop: int) -> Optional[int]:
+    """Drive the tape's first ``stop`` steps through ``policy``.
 
-
-def _encode_tape(records: Sequence[StepRecord]) -> Dict[str, Any]:
-    """The tape as columns: float64 inputs, int8 brake codes, and caps
-    as indices into the table of the distinct :class:`GroupCaps`."""
-    caps_index: Dict[GroupCaps, int] = {}
-    call_code = {call: code for code, call in enumerate(_BRAKE_CALLS)}
-    result_code = {res: code for code, res in enumerate(_BRAKE_RESULTS)}
-    return {
-        "now": np.array([r.now for r in records], dtype=np.float64),
-        "utilization": np.array(
-            [r.utilization for r in records], dtype=np.float64
-        ),
-        "brake_call": np.array(
-            [call_code[r.brake_call] for r in records], dtype=np.int8
-        ),
-        "brake_result": np.array(
-            [result_code[r.brake_result] for r in records], dtype=np.int8
-        ),
-        "caps": np.array(
-            [caps_index.setdefault(r.caps, len(caps_index)) for r in records],
-            dtype=np.int32,
-        ),
-        "caps_table": list(caps_index),
-    }
-
-
-def _decode_tape(columns: Dict[str, Any]) -> List[StepRecord]:
-    """Inverse of :func:`_encode_tape`."""
-    table = columns["caps_table"]
-    return [
-        StepRecord(
-            now, utilization, _BRAKE_CALLS[call], _BRAKE_RESULTS[result],
-            table[caps],
-        )
-        for now, utilization, call, result, caps in zip(
-            columns["now"].tolist(),
-            columns["utilization"].tolist(),
-            columns["brake_call"].tolist(),
-            columns["brake_result"].tolist(),
-            columns["caps"].tolist(),
-        )
-    ]
-
-
-def _feed_step(policy: PowerPolicy, record: StepRecord) -> bool:
-    """Drive one recorded step through ``policy``; True if it matches.
-
-    Issues exactly the calls the original run's policy received —
-    including ``desired_caps`` after a divergent brake answer, since
-    the simulator calls it unconditionally — so the policy's internal
-    hysteresis state tracks a real run step for step.
+    Returns the index of the first step ``policy`` answers differently,
+    or ``None``. Each step issues exactly the calls the recorded run's
+    policy received — ``desired_caps`` even after a divergent brake
+    answer, since the simulator calls it unconditionally — so the
+    policy's hysteresis state tracks a real run step for step.
     """
-    if record.brake_call == "want":
-        brake = policy.wants_brake(record.utilization)
-    elif record.brake_call == "release":
-        brake = policy.brake_release_ok(record.utilization)
-    else:
-        brake = record.brake_result
-    caps = policy.desired_caps(record.utilization, record.now)
-    return brake == record.brake_result and caps == record.caps
+    wants_brake = policy.wants_brake
+    release_ok = policy.brake_release_ok
+    desired_caps = policy.desired_caps
+    table = tape.caps_table
+    steps = zip(tape.now, tape.utilization, tape.brake_call,
+                tape.brake_result, tape.caps)
+    for index, (now, utilization, call, result, caps) in enumerate(steps):
+        if index == stop:
+            break
+        if call == _WANT:
+            answer = 2 if wants_brake(utilization) else 1
+        elif call == _RELEASE:
+            answer = 2 if release_ok(utilization) else 1
+        else:
+            answer = result
+        if desired_caps(utilization, now) != table[caps] \
+                or answer != result:
+            return index
+    return None
 
 
 def first_divergence(
-    records: Sequence[StepRecord], policy: PowerPolicy
+    tape: Union[Tape, Sequence[StepRecord]], policy: PowerPolicy
 ) -> Optional[int]:
     """Index of the first step where ``policy`` answers differently.
 
     ``None`` means the policy matches the entire tape (and would
-    reproduce the base run bit-for-bit). The probe policy is consumed:
-    its state afterwards is only meaningful up to the returned index.
+    reproduce the recorded run bit-for-bit). The probe policy is
+    consumed: its state afterwards is only meaningful up to the returned
+    index.
     """
-    for index, record in enumerate(records):
-        if not _feed_step(policy, record):
-            return index
-    return None
+    if not isinstance(tape, Tape):
+        tape = Tape.of(tape)
+    return _replay(policy, tape, len(tape))
 
 
 @dataclass
@@ -254,14 +317,16 @@ class IncrementalStats:
     """What the incremental executor actually did (cumulative).
 
     Attributes:
-        base_runs: Family-first runs simulated in full while recording
-            the tape and checkpoints.
+        base_runs: Family-first runs (for a recorded run: the first with
+            an event tape) simulated in full while recording the tape
+            and checkpoints.
         resumed_runs: Runs restored from a checkpoint and replayed only
             past it.
-        reused_results: Full-tape matches answered with the base
-            family's result, no simulation at all.
-        cold_runs: Runs simulated in full with no reuse (divergence
-            before the first checkpoint, or evicted blobs).
+        reused_results: Full-tape matches answered with the tape's
+            result, no simulation at all.
+        cold_runs: Later runs of a family simulated in full (divergence
+            before every tape's first checkpoint, or evicted blobs);
+            each leaves a tape and checkpoints like a base run.
         saved_s: Total simulated seconds skipped via restores.
         replayed_s: Total simulated seconds actually re-run on resumes.
     """
@@ -281,7 +346,7 @@ class IncrementalExecutor:
         cache: The :class:`~repro.exec.cache.RunCache` holding tape and
             checkpoint blobs (and, through the engine, results).
         checkpoint_epoch_s: Simulation-time spacing of checkpoints
-            recorded during each family's base run.
+            recorded during each full simulation.
         stats: Cumulative :class:`IncrementalStats`.
     """
 
@@ -304,63 +369,71 @@ class IncrementalExecutor:
 
         With an enabled ``recorder``, the run's full trace lands in it
         — identical to a cold recorded run — regardless of how the
-        result was produced: base runs store their event stream in the
-        family tape, resumed runs replay the checkpointed prefix's
+        result was produced: full simulations store their event stream
+        with their tape, resumed runs replay the checkpointed prefix's
         events from the tape and record the suffix live (the restored
         core re-arms via ``attach_recorder``), and full-tape reuses
-        replay the whole tape. Recording never perturbs results.
+        replay the whole tape. Recording never perturbs results. Only
+        tapes with an event stream serve a recorded run.
         """
         if recorder is not None and not recorder.enabled:
             recorder = None
         family = family_digest(spec)
-        meta = self._load_tape(family)
-        if meta is None:
-            return self._base_run(spec, family, recorder)
-        return self._variant_run(spec, family, meta, recorder)
+        tapes = self._load_tapes(family)
+        if not any(recorder is None or meta["events"] is not None
+                   for meta in tapes):
+            self.stats.base_runs += 1
+            return self._full_run(spec, family, tapes, recorder)
+        return self._variant_run(spec, family, tapes, recorder)
 
     # ------------------------------------------------------------------
-    def _load_tape(self, family: str) -> Optional[Dict[str, Any]]:
-        blob = self.cache.get_blob(f"{family}-tape")
+    def _load_tapes(self, family: str) -> List[Dict[str, Any]]:
+        """The family's tapes, oldest first (none if stale/unreadable)."""
+        blob = self.cache.get_blob(f"{family}-tapes")
         if blob is None:
-            return None
+            return []
         try:
-            meta = pickle.loads(blob)
+            stored = pickle.loads(blob)
         except Exception:
-            return None
-        if not isinstance(meta, dict) \
-                or meta.get("schema") != INCREMENTAL_SCHEMA:
-            return None
-        meta["records"] = _decode_tape(meta.pop("tape"))
-        return meta
+            return []
+        if not isinstance(stored, dict) \
+                or stored.get("schema") != INCREMENTAL_SCHEMA:
+            return []
+        return stored["tapes"]
 
-    def _base_run(
+    def _full_run(
         self,
         spec: RunSpec,
         family: str,
+        tapes: List[Dict[str, Any]],
         recorder: Optional[TraceRecorder] = None,
     ) -> SimulationResult:
         """Full run under the tape recorder, checkpointing each epoch.
 
-        When recording, the run spools its events into an internal
-        buffer that becomes the family *event tape*: the full stream,
-        plus — aligned with each checkpoint — the number of events
-        emitted strictly before it and the metrics registry as of it
-        (checkpoint blobs themselves exclude both; see
-        ``SimulationCore.checkpoint``). The caller's recorder gets
-        the spooled stream replayed at the end.
+        Appends the run's tape to the family's ``tapes``: the columnar
+        control-step tape, the checkpoint times, the run's final
+        :class:`~repro.cluster.core.RunSeries` (checkpoints record the
+        series by length) and its result digest. When recording, the
+        run spools its events into an internal buffer that becomes the
+        tape's *event tape*: the full stream, plus — aligned with each
+        checkpoint — the number of events emitted strictly before it
+        and the metrics registry as of it (checkpoint blobs themselves
+        exclude both; see ``SimulationCore.checkpoint``). The caller's
+        recorder gets the spooled stream replayed at the end.
         """
         policy = TapePolicy(spec.policy.build())
         requests = traces.requests_for(spec.trace_key())
         spool = MemoryRecorder() if recorder is not None else None
         simulator = ClusterSimulator(spec.config, policy, recorder=spool)
         core = simulator.start(requests, spec.duration_s)
+        prefix = f"{family}-ckpt-{len(tapes)}-"
         epochs: List[float] = []
         event_counts: List[int] = []
         registries: List[bytes] = []
 
         def checkpoint(when: float, live_core: SimulationCore) -> None:
             self.cache.put_blob(
-                f"{family}-ckpt-{len(epochs)}", live_core.checkpoint()
+                f"{prefix}{len(epochs)}", live_core.checkpoint()
             )
             epochs.append(when)
             if spool is not None:
@@ -371,20 +444,19 @@ class IncrementalExecutor:
 
         core.run_all(self.checkpoint_epoch_s, checkpoint)
         result = core.finalize()
-        meta = {
-            "schema": INCREMENTAL_SCHEMA,
-            "tape": _encode_tape(policy.tape),
+        tapes.append({
+            "tape": policy.tape,
             "epochs": epochs,
+            "series": core.series(),
             "result_digest": spec.digest(),
             "events": list(spool.events) if spool is not None else None,
             "event_counts": event_counts if spool is not None else None,
             "registries": registries if spool is not None else None,
-        }
-        self.cache.put_blob(
-            f"{family}-tape",
-            pickle.dumps(meta, protocol=pickle.HIGHEST_PROTOCOL),
-        )
-        self.stats.base_runs += 1
+        })
+        self.cache.put_blob(f"{family}-tapes", pickle.dumps(
+            {"schema": INCREMENTAL_SCHEMA, "tapes": tapes},
+            protocol=pickle.HIGHEST_PROTOCOL,
+        ))
         if recorder is not None:
             for event in spool.events:
                 recorder.emit(event)
@@ -395,65 +467,59 @@ class IncrementalExecutor:
         self,
         spec: RunSpec,
         family: str,
-        meta: Dict[str, Any],
+        tapes: List[Dict[str, Any]],
         recorder: Optional[TraceRecorder] = None,
     ) -> SimulationResult:
-        """Resume past the longest matching prefix of the family tape."""
-        if recorder is not None and meta.get("events") is None:
-            # The family's base ran unrecorded, so there is no event
-            # tape to replay a prefix from. Re-record the family from
-            # scratch under this spec's policy — the overwritten tape
-            # serves later recorded variants.
-            return self._base_run(spec, family, recorder)
-        records: List[StepRecord] = meta["records"]
-        probe = spec.policy.build()
-        probe.reset()
-        divergence = first_divergence(records, probe)
-        if divergence is None:
-            base = self.cache.get(meta["result_digest"])
-            if base is not None:
-                # The policy matches the base run's every answer: the
-                # trajectory (hence the result and its trace) is
-                # identical.
-                self.stats.reused_results += 1
-                if recorder is not None:
-                    for event in meta["events"]:
-                        recorder.emit(event)
-                    recorder.finalize(spec.duration_s)
-                return base
-            horizon = None  # full match, result lost: resume at the end
-        else:
-            horizon = records[divergence].now
-        # The latest checkpoint taken at or before the divergent step
-        # (its control event is >= the boundary, so it has not run yet
-        # in the restored core). Evicted blobs degrade to earlier
-        # checkpoints, then to a cold run.
-        candidates = [
-            (index, when)
-            for index, when in enumerate(meta["epochs"])
-            if horizon is None or when <= horizon
-        ]
-        for index, when in reversed(candidates):
-            blob = self.cache.get_blob(f"{family}-ckpt-{index}")
+        """Reuse a fully matching tape's result, or resume from the
+        latest checkpoint any tape's matching prefix covers."""
+        candidates: List[Tuple[float, int, int]] = []
+        for position, meta in enumerate(tapes):
+            if recorder is not None and meta["events"] is None:
+                continue
+            probe = spec.policy.build()
+            probe.reset()
+            divergence = first_divergence(meta["tape"], probe)
+            if divergence is None:
+                base = self.cache.get(meta["result_digest"])
+                if base is not None:
+                    # The policy matches the tape's every answer: the
+                    # trajectory (hence the result and its trace) is
+                    # identical.
+                    self.stats.reused_results += 1
+                    if recorder is not None:
+                        for event in meta["events"]:
+                            recorder.emit(event)
+                        recorder.finalize(spec.duration_s)
+                    return base
+                horizon = math.inf  # result lost: resume at the end
+            else:
+                horizon = meta["tape"].now[divergence]
+            # Checkpoints taken at or before the divergent step (its
+            # control event is >= the boundary, so it has not run yet
+            # in the restored core).
+            candidates += [
+                (when, position, index)
+                for index, when in enumerate(meta["epochs"])
+                if when <= horizon
+            ]
+        # The latest first; evicted blobs degrade to earlier checkpoints,
+        # then to a full run that leaves a tape of its own.
+        for when, position, index in sorted(candidates, reverse=True):
+            blob = self.cache.get_blob(f"{family}-ckpt-{position}-{index}")
             if blob is not None:
                 return self._resume(
-                    spec, records, blob, when, meta, index, recorder
+                    spec, tapes[position], blob, when, index, recorder
                 )
         self.stats.cold_runs += 1
-        policy = spec.policy.build()
-        requests = traces.requests_for(spec.trace_key())
-        return ClusterSimulator(
-            spec.config, policy, recorder=recorder
-        ).run(requests, spec.duration_s)
+        return self._full_run(spec, family, tapes, recorder)
 
     def _resume(
         self,
         spec: RunSpec,
-        records: Sequence[StepRecord],
+        meta: Dict[str, Any],
         blob: bytes,
         when: float,
-        meta: Optional[Dict[str, Any]] = None,
-        index: Optional[int] = None,
+        index: int,
         recorder: Optional[TraceRecorder] = None,
     ) -> SimulationResult:
         policy = spec.policy.build()
@@ -467,20 +533,17 @@ class IncrementalExecutor:
         # boundary, if any, has not been processed by the restored
         # core). All of these matched during divergence probing, so the
         # state equals a real run's.
-        for record in records:
-            if record.now >= when:
-                break
-            _feed_step(policy, record)
-        core = SimulationCore.restore(blob, template)
+        tape = meta["tape"]
+        _replay(policy, tape, bisect_left(tape.now, when))
+        core = SimulationCore.restore(blob, template, meta["series"])
         if recorder is not None:
-            # The base and this variant are bit-identical up to the
-            # checkpoint (the prefix matched), so the tape's first
+            # The tape's run and this variant are bit-identical up to
+            # the checkpoint (the prefix matched), so the tape's first
             # ``event_counts[index]`` events are exactly the events the
             # restored core will not re-emit. Replay them, then re-arm
             # recording with the registry pickled at the checkpoint —
             # the suffix continues counters and events exactly where a
             # cold recorded run would be at this point.
-            assert meta is not None and index is not None
             for event in meta["events"][:meta["event_counts"][index]]:
                 recorder.emit(event)
             core.attach_recorder(

@@ -231,7 +231,7 @@ class TestCoreRestoreWithPendingStatic:
         template = ClusterSimulator(config, DualThresholdPolicy()).start(
             requests, 240.0
         )
-        restored = SimulationCore.restore(blob, template)
+        restored = SimulationCore.restore(blob, template, core.series())
         assert len(restored.queue) == pending
         assert len(template.queue) == template.n_static
         restored.run_all()

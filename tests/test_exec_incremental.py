@@ -32,8 +32,9 @@ from repro.exec import (
     first_divergence,
     result_to_dict,
 )
-from repro.exec.incremental import INCREMENTAL_SCHEMA
+from repro.exec.incremental import INCREMENTAL_SCHEMA, Tape
 from repro.faults.plan import FaultPlan
+from repro.obs import MemoryRecorder
 from repro.powerfail import ProtectionSpec, TripCurve
 from repro.units import hours
 
@@ -103,6 +104,20 @@ class TestTapePolicy:
         assert wrapped.tape
         wrapped.reset()
         assert wrapped.tape == []
+
+    def test_tape_columns_round_trip_records(self):
+        config = ClusterConfig(n_base_servers=8, seed=1, added_fraction=0.3)
+        wrapped = TapePolicy(DualThresholdPolicy())
+        ClusterSimulator(config, wrapped).run(
+            make_requests(4.0, 240.0, seed=1), 240.0
+        )
+        tape = wrapped.tape
+        records = list(tape)
+        assert {r.brake_call for r in records} >= {"want"}
+        assert Tape.of(records) == tape
+        assert pickle.loads(pickle.dumps(tape)) == records
+        assert tape[5:9] == records[5:9]
+        assert tape[-1] == records[-1]
 
 
 class TestDivergence:
@@ -191,24 +206,32 @@ class TestIncrementalParity:
         spec = reference_spec("polca-default", PolicySpec("POLCA"))
         executor = IncrementalExecutor(RunCache(), checkpoint_epoch_s=300.0)
         family = family_digest(spec)
-        executor.cache.put_blob(f"{family}-tape", pickle.dumps({
+        # Read as current, this empty tape would match the spec fully;
+        # its result is not cached, so it would cost a cold run.
+        executor.cache.put_blob(f"{family}-tapes", pickle.dumps({
             "schema": INCREMENTAL_SCHEMA - 1,
-            "records": [],
-            "epochs": [],
-            "result_digest": spec.digest(),
-            "events": None,
-            "event_counts": None,
-            "registries": None,
+            "tapes": [{
+                "tape": Tape(),
+                "epochs": [],
+                "series": None,
+                "result_digest": spec.digest(),
+                "events": None,
+                "event_counts": None,
+                "registries": None,
+            }],
         }))
         result = executor.execute(spec)
         assert executor.stats.base_runs == 1
+        assert executor.stats.cold_runs == 0
         assert executor.stats.reused_results == 0
         assert_results_bit_identical(result, execute_spec(spec))
+        assert len(executor._load_tapes(family)) == 1
 
     def test_fig13_checkpoints_are_compact(self):
-        """Checkpoints reference the trace, the shared specs and the
-        static event schedule instead of carrying them: a plain pickle
-        of the same cores is about 1.1 MB each."""
+        """Checkpoints reference the trace, the shared specs, the static
+        event schedule and the append-only series instead of carrying
+        them (a plain pickle of the same cores is about 1.1 MB each),
+        so their size does not grow with simulated time."""
         harness = EvaluationHarness(duration_s=hours(6), seed=1)
         spec = harness.spec(POLCA_LOW, added_fraction=0.3)
         assert spec.config.n_servers == 52
@@ -219,7 +242,143 @@ class TestIncrementalParity:
             if "-ckpt-" in key
         ]
         assert len(sizes) == 36
-        assert sum(sizes) / len(sizes) <= 250_000
+        assert sum(sizes) / len(sizes) <= 32_000
+        assert max(sizes) <= 2 * min(sizes)
+
+
+class TestFamilyTapes:
+    """Every full simulation of a family leaves a tape later points use."""
+
+    @staticmethod
+    def spied(cache):
+        """``cache`` with a log of every checkpoint blob fetched."""
+        fetched = []
+        get_blob = cache.get_blob
+
+        def spy(name):
+            blob = get_blob(name)
+            if "-ckpt-" in name:
+                fetched.append((name.rsplit("-ckpt-", 1)[1], blob is not None))
+            return blob
+
+        cache.get_blob = spy
+        return fetched
+
+    def test_fig13_grid_runs_each_tape_once(self):
+        """The seed-1 Fig 13 grid: at 40% added servers 80-89 diverges
+        from the 75-85 base before its first checkpoint and runs cold,
+        and 85-95 then matches 80-89's whole tape."""
+        harness = EvaluationHarness(duration_s=hours(6), seed=1)
+        specs = [harness.baseline_spec()] + [
+            harness.spec(PolicySpec("POLCA", thresholds), added_fraction=f)
+            for thresholds in (
+                PolcaThresholds(t1=0.75, t2=0.85),
+                PolcaThresholds(t1=0.80, t2=0.89),
+                PolcaThresholds(t1=0.85, t2=0.95),
+            )
+            for f in (0.1, 0.2, 0.3, 0.4)
+        ]
+        executor = IncrementalExecutor(RunCache())
+        results = []
+        for spec in specs:
+            results.append(executor.execute(spec))
+            executor.cache.put(spec.digest(), results[-1])
+        stats = executor.stats
+        assert (stats.base_runs, stats.cold_runs, stats.reused_results,
+                stats.resumed_runs) == (5, 1, 7, 0)
+        for spec, result in zip(specs, results):
+            assert result_to_dict(result) == \
+                result_to_dict(execute_spec(spec))
+
+    def seed3_specs(self):
+        harness = EvaluationHarness(duration_s=hours(6), seed=3)
+        return [
+            harness.spec(PolicySpec("POLCA", thresholds), added_fraction=0.4)
+            for thresholds in (
+                PolcaThresholds(t1=0.75, t2=0.85),
+                PolcaThresholds(t1=0.80, t2=0.89),
+                PolcaThresholds(t1=0.85, t2=0.95),
+            )
+        ]
+
+    def test_variant_resumes_from_a_cold_variants_tape(self):
+        """85-95 diverges from the 75-85 base before its first
+        checkpoint but matches the cold 80-89 run's tape to t = 1630 s:
+        it restores that tape's 1200 s checkpoint."""
+        base, cold, variant = self.seed3_specs()
+        executor = IncrementalExecutor(RunCache())
+        fetched = self.spied(executor.cache)
+        for spec in (base, cold):
+            executor.cache.put(spec.digest(), executor.execute(spec))
+        assert (executor.stats.base_runs, executor.stats.cold_runs) == (1, 1)
+        assert fetched == []
+        result = executor.execute(variant)
+        assert fetched == [("1-1", True)]
+        assert executor.stats.resumed_runs == 1
+        assert executor.stats.saved_s == 1200.0
+        assert_results_bit_identical(result, execute_spec(variant))
+        assert result_to_dict(result) == result_to_dict(execute_spec(variant))
+
+    def test_evicted_cold_tape_checkpoints_fall_back_to_a_cold_run(self):
+        base, cold, variant = self.seed3_specs()
+        executor = IncrementalExecutor(RunCache())
+        for spec in (base, cold):
+            executor.cache.put(spec.digest(), executor.execute(spec))
+        family = family_digest(variant)
+        for key in [k for k in executor.cache._blobs
+                    if k.startswith(f"{family}-ckpt-1-")]:
+            del executor.cache._blobs[key]
+        result = executor.execute(variant)
+        assert executor.stats.cold_runs == 2
+        assert executor.stats.resumed_runs == 0
+        assert len(executor._load_tapes(family)) == 3
+        assert result_to_dict(result) == result_to_dict(execute_spec(variant))
+
+    def test_evicted_tape_checkpoints_fall_back_to_another_tape(self):
+        """A recorded run after an unrecorded base appends a second
+        (recorded) tape of the same trajectory. With its checkpoints
+        evicted, a variant restores the first tape's checkpoint at the
+        same time instead; with both tapes' evicted, it runs cold."""
+        base_spec = reference_spec("polca-oversubscribed", PolicySpec("POLCA"))
+        variant_spec = reference_spec("polca-oversubscribed", POLCA_HIGH)
+        family = family_digest(base_spec)
+        expected = execute_spec(variant_spec)
+
+        def two_tapes():
+            executor = IncrementalExecutor(
+                RunCache(), checkpoint_epoch_s=300.0
+            )
+            executor.execute(base_spec)
+            executor.execute(base_spec, recorder=MemoryRecorder())
+            assert executor.stats.base_runs == 2
+            tapes = executor._load_tapes(family)
+            assert [t["events"] is None for t in tapes] == [True, False]
+            return executor
+
+        executor = two_tapes()
+        fetched = self.spied(executor.cache)
+        result = executor.execute(variant_spec)
+        assert executor.stats.resumed_runs == 1
+        [(name, found)] = fetched
+        assert name.startswith("1-") and found
+        assert_results_bit_identical(result, expected)
+
+        executor = two_tapes()
+        for key in [k for k in executor.cache._blobs
+                    if k.startswith(f"{family}-ckpt-1-")]:
+            del executor.cache._blobs[key]
+        fetched = self.spied(executor.cache)
+        result = executor.execute(variant_spec)
+        assert executor.stats.resumed_runs == 1
+        assert fetched[0] == (name, False)
+        assert fetched[-1] == ("0-" + name[2:], True)
+        assert_results_bit_identical(result, expected)
+
+        for key in [k for k in executor.cache._blobs if "-ckpt-" in k]:
+            del executor.cache._blobs[key]
+        result = executor.execute(variant_spec)
+        assert executor.stats.cold_runs == 1
+        assert_results_bit_identical(result, expected)
 
 
 def tripping_config(seed=0, adversarial=False):
@@ -272,6 +431,9 @@ class TestCheckpointRestoreProperty:
         ))
         assert_results_bit_identical(core.finalize(), straight)
         assert blobs
+        # The checkpoints record the latency and power series by length;
+        # restores slice them out of the finished run's.
+        series = core.series()
 
         for when, blob, checkpoint in blobs:
             restored = pickle.loads(blob)
@@ -288,7 +450,7 @@ class TestCheckpointRestoreProperty:
             )
             prefix = [r for r in policy.tape if r.now < when]
             assert first_divergence(prefix, template.policy) is None
-            restored = SimulationCore.restore(checkpoint, template)
+            restored = SimulationCore.restore(checkpoint, template, series)
             restored.run_all()
             resumed = restored.finalize()
             assert result_to_dict(resumed) == expected, (
@@ -300,6 +462,84 @@ class TestCheckpointRestoreProperty:
             )
             assert resumed.powerfail.energy_conserved_exactly
 
+
+    @settings(max_examples=4, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=3),
+        epoch=st.sampled_from([30.0, 70.0, 110.0]),
+        adversarial=st.booleans(),
+    )
+    @example(seed=1, epoch=30.0, adversarial=True)
+    def test_recorded_restore_matches_straight_recording(
+        self, seed, epoch, adversarial
+    ):
+        """A recorded restore — prefix events from the event tape, the
+        registry as of the checkpoint, the series by length (the
+        utilization samples a recorded run keeps included) — records
+        exactly the straight run's events and observability, through
+        breaker trips and adversarial faults."""
+        duration = 240.0
+        config = tripping_config(seed=seed, adversarial=adversarial)
+        requests = make_requests(4.0, duration, seed=seed)
+        straight_events = MemoryRecorder()
+        straight = ClusterSimulator(
+            config, DualThresholdPolicy(), recorder=straight_events
+        ).run(requests, duration)
+        expected = result_to_dict(straight)
+        assert straight.observability is not None
+
+        spool = MemoryRecorder()
+        policy = TapePolicy(DualThresholdPolicy())
+        core = ClusterSimulator(config, policy, recorder=spool).start(
+            requests, duration
+        )
+        checkpoints = []
+        core.run_all(epoch, lambda when, c: checkpoints.append((
+            when, c.checkpoint(), len(spool.events), pickle.dumps(c.obs),
+        )))
+        assert result_to_dict(core.finalize()) == expected
+        assert spool.events == straight_events.events
+        series = core.series()
+        assert len(series.util_samples) > 0
+
+        for when, checkpoint, n_events, registry in checkpoints:
+            template = ClusterSimulator(config, DualThresholdPolicy()).start(
+                requests, duration
+            )
+            prefix = [r for r in policy.tape if r.now < when]
+            assert first_divergence(prefix, template.policy) is None
+            restored = SimulationCore.restore(checkpoint, template, series)
+            recorder = MemoryRecorder()
+            for event in spool.events[:n_events]:
+                recorder.emit(event)
+            restored.attach_recorder(recorder, pickle.loads(registry))
+            restored.run_all()
+            resumed = restored.finalize()
+            assert result_to_dict(resumed) == expected, (
+                f"recorded restore at t={when} diverged"
+            )
+            assert recorder.events == straight_events.events, (
+                f"recorded restore at t={when} recorded other events"
+            )
+
+    def test_restore_needs_series_covering_the_checkpoint(self):
+        config = tripping_config()
+        requests = make_requests(4.0, 240.0, seed=0)
+        checkpoints = []
+        core = ClusterSimulator(config, DualThresholdPolicy()).start(
+            requests, 240.0
+        )
+        early = core.series()
+        core.run_all(60.0, lambda when, c: checkpoints.append(
+            c.checkpoint()
+        ))
+        template = ClusterSimulator(config, DualThresholdPolicy()).start(
+            requests, 240.0
+        )
+        with pytest.raises(SimulationError):
+            SimulationCore.restore(checkpoints[-1], template, early)
+        with pytest.raises(SimulationError):
+            pickle.loads(checkpoints[-1])
 
     def test_restore_needs_a_fresh_matching_template(self):
         config = tripping_config()
@@ -314,7 +554,7 @@ class TestCheckpointRestoreProperty:
         )
         for template in (core, shorter):
             with pytest.raises(SimulationError):
-                SimulationCore.restore(blobs[0], template)
+                SimulationCore.restore(blobs[0], template, core.series())
 
 
 class TestEngineIntegration:
