@@ -775,7 +775,7 @@ class SimulationCore:
             action = ControlAction.frequency_unlock(targets)
         else:
             action = ControlAction.frequency_lock(targets, clock_mhz)
-        record = self.actuator.issue(now, action)
+        record = self.actuator.dispatch(now, action)
         self.report.commands_issued += 1
         extra = self.injector.actuation_extra_delay()
         if self.recording:
@@ -805,7 +805,7 @@ class SimulationCore:
     ) -> None:
         kind = ActionKind.POWER_BRAKE if want_on \
             else ActionKind.BRAKE_RELEASE
-        record = self.actuator.issue(
+        record = self.actuator.dispatch(
             now, ControlAction(kind, self._all_ids)
         )
         self.report.commands_issued += 1

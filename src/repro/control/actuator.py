@@ -86,6 +86,22 @@ class Actuator:
                 f"no latency configured for {kind.value}"
             ) from None
 
+    def dispatch(self, now: float, action: ControlAction) -> AppliedAction:
+        """Dispatch an action without keeping it: one failure draw, and
+        the record of when it lands (or that it silently failed).
+
+        For callers that schedule the landing themselves; :meth:`issue`
+        adds the history and in-flight bookkeeping.
+        """
+        latency = self.latency_for(action.kind)
+        failed = bool(self._rng.random() < self.silent_failure_rate)
+        return AppliedAction(
+            action=action,
+            issued_at=now,
+            effective_at=now + latency,
+            failed_silently=failed,
+        )
+
     def issue(self, now: float, action: ControlAction) -> AppliedAction:
         """Dispatch an action; it becomes effective after its latency.
 
@@ -93,16 +109,9 @@ class Actuator:
         paper — the *simulated controller* must not peek at that flag;
         it exists for the experiment harness to count.
         """
-        latency = self.latency_for(action.kind)
-        failed = bool(self._rng.random() < self.silent_failure_rate)
-        record = AppliedAction(
-            action=action,
-            issued_at=now,
-            effective_at=now + latency,
-            failed_silently=failed,
-        )
+        record = self.dispatch(now, action)
         self.history.append(record)
-        if not failed:
+        if not record.failed_silently:
             self._in_flight.append(record)
         return record
 

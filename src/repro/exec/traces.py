@@ -10,7 +10,13 @@ not share work between harness instances — and it is what lets
 the key, and each worker process materializes (and then reuses) the
 trace locally.
 
-Both caches are small LRUs: a sweep touches a handful of deployment
+Every synthetic trace of one seed also shares one
+:class:`~repro.workloads.requests.RequestStream`: request attributes
+never depend on arrival times, so the deployment sizes of a sweep draw
+them once, in one order, and a trace's requests are the same whichever
+size is synthesized first.
+
+The caches are small LRUs: a sweep touches a handful of deployment
 sizes, so a few entries give a 100% hit rate while keeping long-lived
 processes bounded.
 """
@@ -24,7 +30,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.analysis.timeseries import TimeSeries
 from repro.errors import ConfigurationError
 from repro.workloads.replay import TraceSource, apply_flash_crowd
-from repro.workloads.requests import SampledRequest
+from repro.workloads.requests import RequestStream, SampledRequest
 from repro.workloads.tracegen import (
     INFERENCE_PROVISIONED_PER_SERVER_W,
     ProductionTraceModel,
@@ -68,7 +74,15 @@ class TraceKey:
 _utilization_traces: "OrderedDict[Tuple[int, float], TimeSeries]" = (
     OrderedDict()
 )
+_request_streams: "OrderedDict[int, RequestStream]" = OrderedDict()
 _request_traces: "OrderedDict[TraceKey, List[SampledRequest]]" = OrderedDict()
+
+
+def _remember(cache: "OrderedDict", key: object, value: object) -> None:
+    """Insert into a bounded LRU, evicting the oldest entries."""
+    cache[key] = value
+    while len(cache) > _MAX_TRACES:
+        cache.popitem(last=False)
 
 
 def utilization_trace(seed: int, duration_s: float) -> TimeSeries:
@@ -79,10 +93,20 @@ def utilization_trace(seed: int, duration_s: float) -> TimeSeries:
         _utilization_traces.move_to_end(key)
         return cached
     trace = ProductionTraceModel(seed=seed).generate(duration_s=duration_s)
-    _utilization_traces[key] = trace
-    while len(_utilization_traces) > _MAX_TRACES:
-        _utilization_traces.popitem(last=False)
+    _remember(_utilization_traces, key, trace)
     return trace
+
+
+def request_stream(sampler_seed: int) -> RequestStream:
+    """The request-attribute draws of one sampler seed (cached, shared
+    by every synthetic trace that samples with it)."""
+    cached = _request_streams.get(sampler_seed)
+    if cached is not None:
+        _request_streams.move_to_end(sampler_seed)
+        return cached
+    stream = RequestStream(sampler_seed)
+    _remember(_request_streams, sampler_seed, stream)
+    return stream
 
 
 def _synthetic_requests(key: TraceKey) -> List[SampledRequest]:
@@ -92,7 +116,10 @@ def _synthetic_requests(key: TraceKey) -> List[SampledRequest]:
         provisioned_per_server_w=key.provisioned_per_server_w,
         seed=key.seed,
     )
-    synthetic = generator.generate(utilization_trace(key.seed, key.duration_s))
+    synthetic = generator.generate(
+        utilization_trace(key.seed, key.duration_s),
+        request_stream(generator.sampler_seed),
+    )
     synthetic.validate()
     return synthetic.requests
 
@@ -122,9 +149,7 @@ def requests_for(key: TraceKey) -> List[SampledRequest]:
         if key.source.burst is not None:
             base = apply_flash_crowd(base, key.source.burst, key.duration_s)
         requests = base
-    _request_traces[key] = requests
-    while len(_request_traces) > _MAX_TRACES:
-        _request_traces.popitem(last=False)
+    _remember(_request_traces, key, requests)
     return requests
 
 
@@ -132,6 +157,7 @@ def cache_sizes() -> Dict[str, int]:
     """Current entry counts (observability for tests and tuning)."""
     return {
         "utilization_traces": len(_utilization_traces),
+        "request_streams": len(_request_streams),
         "request_traces": len(_request_traces),
     }
 
@@ -139,4 +165,5 @@ def cache_sizes() -> Dict[str, int]:
 def clear_caches() -> None:
     """Drop every cached trace (mainly for tests)."""
     _utilization_traces.clear()
+    _request_streams.clear()
     _request_traces.clear()

@@ -146,6 +146,8 @@ def _both_numeric(a: Any, b: Any) -> bool:
 #: exact. Patterns are ``fnmatch`` globs over the dotted leaf path.
 DEFAULT_POLICIES: Tuple[Tuple[str, Tolerance], ...] = (
     ("cpu_count", Tolerance.ignore()),
+    ("*.cpu_count", Tolerance.ignore()),
+    ("*.meaningful", Tolerance.ignore()),
     ("*worker", Tolerance.ignore()),
     ("*env.python", Tolerance.ignore()),
     ("*env.numpy", Tolerance.ignore()),

@@ -25,7 +25,11 @@ from repro.workloads.replay import (
     SessionProfile,
     TraceSource,
 )
-from repro.workloads.requests import RequestSampler, SampledRequest
+from repro.workloads.requests import (
+    RequestSampler,
+    RequestStream,
+    SampledRequest,
+)
 from repro.workloads.tracegen import (
     ProductionTraceModel,
     SyntheticTrace,
@@ -41,6 +45,7 @@ __all__ = [
     "Priority",
     "ProductionTraceModel",
     "RequestSampler",
+    "RequestStream",
     "SEARCH",
     "SUMMARIZE",
     "SampledRequest",

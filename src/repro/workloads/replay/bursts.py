@@ -108,6 +108,7 @@ def apply_flash_crowd(
     if not merged:
         return merged
     rng = np.random.default_rng(spec.seed)
+    exponential, random, integers = rng.exponential, rng.random, rng.integers
     overall_rate = len(merged) / duration_s
     for window in spec.windows:
         lo = window.start_s
@@ -122,20 +123,20 @@ def apply_flash_crowd(
         if peak <= 0:
             continue
         # Thinning against the constant majorant `peak`.
+        scale = 1.0 / peak
+        shape = window.shape
+        n_pool = len(pool)
         t = lo
         while True:
-            t += float(rng.exponential(1.0 / peak))
+            t += exponential(scale)
             if t >= hi:
                 break
-            accept = float(rng.random())
-            template = pool[int(rng.integers(0, len(pool)))]
-            if accept < window.shape(t):
+            accept = random()
+            template = pool[int(integers(0, n_pool))]
+            if accept < shape(t):
                 merged.append(SampledRequest(
-                    arrival_time=t,
-                    workload=template.workload,
-                    priority=template.priority,
-                    input_tokens=template.input_tokens,
-                    output_tokens=template.output_tokens,
+                    t, template.workload, template.priority,
+                    template.input_tokens, template.output_tokens,
                 ))
     merged.sort(key=lambda r: r.arrival_time)
     return merged

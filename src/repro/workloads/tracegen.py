@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from functools import cached_property
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from repro.models.power_profile import PhasePowerProfile
 from repro.models.registry import get_model
 from repro.server.dgx import DgxServer
 from repro.units import SECONDS_PER_DAY, SECONDS_PER_WEEK, weeks
-from repro.workloads.requests import RequestSampler, SampledRequest
+from repro.workloads.requests import RequestStream, SampledRequest
 from repro.workloads.spec import TABLE6_MIX, WorkloadSpec
 
 #: Per-server power budgeted in the production inference row. Derated well
@@ -148,6 +149,28 @@ class FluidClusterModel:
             mean_service_s=mean_service,
         )
 
+    @cached_property
+    def _power_terms(self) -> Tuple[Tuple[int, int, int, float], ...]:
+        """Per occupancy ``k``: ``(k, C(c, k), c - k, power at k)``."""
+        c = self.concurrency
+        return tuple(
+            (k, math.comb(c, k), c - k, self.occupancy_power_w[k])
+            for k in range(c + 1)
+        )
+
+    @cached_property
+    def _power_range(self) -> Tuple[float, float]:
+        """Cluster power at ``rho = 0`` and ``rho = 1``."""
+        return (self._power(0.0), self._power(1.0))
+
+    def _power(self, rho: float) -> float:
+        """:meth:`power_at_utilization` without the range check; the
+        terms accumulate in the same order, so the float is the same."""
+        expected = 0.0
+        for k, comb, rest, occupancy_w in self._power_terms:
+            expected += comb * (rho ** k) * ((1 - rho) ** rest) * occupancy_w
+        return self.n_servers * expected
+
     def power_at_utilization(self, rho: float) -> float:
         """Expected cluster power at slot utilization ``rho``.
 
@@ -156,24 +179,21 @@ class FluidClusterModel:
         """
         if not 0.0 <= rho <= 1.0:
             raise ConfigurationError(f"utilization {rho} outside [0, 1]")
-        c = self.concurrency
-        expected = 0.0
-        for k in range(c + 1):
-            weight = math.comb(c, k) * (rho ** k) * ((1 - rho) ** (c - k))
-            expected += weight * self.occupancy_power_w[k]
-        return self.n_servers * expected
+        return self._power(rho)
 
     def utilization_for_power(self, power_w: float) -> float:
         """Invert :meth:`power_at_utilization` by bisection, clipped to
         ``[0, 1]`` (the power curve is strictly increasing in rho)."""
-        if power_w <= self.power_at_utilization(0.0):
+        floor_w, ceiling_w = self._power_range
+        if power_w <= floor_w:
             return 0.0
-        if power_w >= self.power_at_utilization(1.0):
+        if power_w >= ceiling_w:
             return 1.0
+        power = self._power
         lo, hi = 0.0, 1.0
         for _ in range(60):
             mid = (lo + hi) / 2.0
-            if self.power_at_utilization(mid) < power_w:
+            if power(mid) < power_w:
                 lo = mid
             else:
                 hi = mid
@@ -243,23 +263,13 @@ class ProductionTraceModel:
                           values=np.clip(values, 0.05, 1.0))
 
 
-class _PiecewiseRateProfile:
-    """Arrival-rate profile defined by per-bin rates (thinning-compatible)."""
-
-    def __init__(self, bin_starts: np.ndarray, rates: np.ndarray,
-                 interval_s: float) -> None:
-        self._starts = bin_starts
-        self._rates = rates
-        self._interval = interval_s
-
-    def rate(self, t: float) -> float:
-        index = int((t - self._starts[0]) // self._interval)
-        index = max(0, min(index, self._rates.size - 1))
-        return float(self._rates[index])
-
-    @property
-    def max_rate(self) -> float:
-        return float(self._rates.max())
+def rate_bin(t: float, start: float, interval_s: float, n_bins: int) -> int:
+    """The rate bin holding time ``t``, clamped to ``[0, n_bins - 1]``
+    (thinning may propose a candidate outside the trace window)."""
+    index = int((t - start) // interval_s)
+    if index > n_bins - 1:
+        return n_bins - 1
+    return index if index > 0 else 0
 
 
 @dataclass(frozen=True)
@@ -315,7 +325,16 @@ class SyntheticTraceGenerator:
         """Row power budget."""
         return self.n_servers * self.provisioned_per_server_w
 
-    def generate(self, utilization_trace: TimeSeries) -> SyntheticTrace:
+    @property
+    def sampler_seed(self) -> int:
+        """Seed of the request-attribute draws (arrivals use :attr:`seed`)."""
+        return self.seed + 1
+
+    def generate(
+        self,
+        utilization_trace: TimeSeries,
+        stream: Optional[RequestStream] = None,
+    ) -> SyntheticTrace:
         """Generate a request trace replicating the utilization trace.
 
         The target utilization is converted to power, inverted through the
@@ -324,45 +343,63 @@ class SyntheticTraceGenerator:
         reconstruction (fluid power of the realized arrivals) is compared
         to the target with MAPE.
 
+        Args:
+            utilization_trace: The target utilization per bin.
+            stream: Request attributes to draw from, shared by every
+                trace of this seed; its seed must be
+                :attr:`sampler_seed`. ``None`` draws from a fresh one —
+                the same requests either way.
+
         Raises:
-            ConfigurationError: If the trace is empty.
+            ConfigurationError: If the trace is empty or the stream has
+                another seed.
         """
         if len(utilization_trace) == 0:
             raise ConfigurationError("empty utilization trace")
+        if stream is None:
+            stream = RequestStream(self.sampler_seed)
+        elif stream.seed != self.sampler_seed:
+            raise ConfigurationError(
+                f"request stream seed {stream.seed} does not match "
+                f"sampler seed {self.sampler_seed}"
+            )
         interval = utilization_trace.interval
         target_power = utilization_trace.values * self.provisioned_power_w
-        rhos = np.array([
-            self.fluid.utilization_for_power(float(p)) for p in target_power
-        ])
-        rates = np.array([
-            self.fluid.arrival_rate_for_utilization(float(r)) for r in rhos
-        ])
-        profile = _PiecewiseRateProfile(
-            utilization_trace.times, rates, interval
-        )
+        fluid = self.fluid
+        rates = [
+            fluid.arrival_rate_for_utilization(
+                fluid.utilization_for_power(p)
+            )
+            for p in target_power.tolist()
+        ]
+        n_bins = len(rates)
+        counts = [0] * n_bins
+        start = utilization_trace.start
+        end = start + n_bins * interval
+        # Thinning against the flat majorant lam.
         rng = np.random.default_rng(self.seed)
-        sampler = RequestSampler(seed=self.seed + 1)
-        end = utilization_trace.start + len(utilization_trace) * interval
+        exponential, random = rng.exponential, rng.random
+        lam = max(max(rates), 1e-9)
+        scale = 1.0 / lam
         arrivals: List[float] = []
-        t = utilization_trace.start
-        lam = max(profile.max_rate, 1e-9)
+        t = start
         while True:
-            t += float(rng.exponential(1.0 / lam))
+            t += exponential(scale)
             if t >= end:
                 break
-            if rng.random() < profile.rate(t) / lam:
+            index = rate_bin(t, start, interval, n_bins)
+            if random() < rates[index] / lam:
                 arrivals.append(t)
-        requests = sampler.sample_many(arrivals)
-        reconstructed = self._reconstruct_power(
-            arrivals, utilization_trace.start, end, interval
-        )
+                counts[index] += 1
+        requests = stream.requests(arrivals)
+        reconstructed = self._reconstruct_power(counts, start, interval)
         mape = mean_absolute_percentage_error(
             target_power, reconstructed.values
         )
         return SyntheticTrace(
             requests=requests,
             target_power=TimeSeries(
-                start=utilization_trace.start,
+                start=start,
                 interval=interval,
                 values=target_power,
             ),
@@ -371,22 +408,18 @@ class SyntheticTraceGenerator:
         )
 
     def _reconstruct_power(
-        self, arrivals: List[float], start: float, end: float, interval: float
+        self, counts: List[int], start: float, interval: float
     ) -> TimeSeries:
-        """Fluid power implied by the realized arrivals, per bin."""
-        n_bins = int(round((end - start) / interval))
-        counts = np.zeros(n_bins)
-        for t in arrivals:
-            index = min(int((t - start) // interval), n_bins - 1)
-            counts[index] += 1.0
+        """Fluid power implied by the realized arrivals per bin."""
         # Little's law per bin: busy fraction = lambda * E[S] / n.
-        rho = (counts / interval * self.fluid.mean_service_s
+        rho = (np.array(counts, dtype=float) / interval
+               * self.fluid.mean_service_s
                / (self.n_servers * self.fluid.concurrency))
         # Smooth over ~30 min to estimate the underlying rate rather than
         # per-bin Poisson noise (the paper compares smoothed power).
         window = max(1, int(round(1800.0 / interval)))
         rho_smooth = np.clip(smooth_same(rho, window), 0.0, 1.0)
         power = np.array([
-            self.fluid.power_at_utilization(float(r)) for r in rho_smooth
+            self.fluid.power_at_utilization(r) for r in rho_smooth.tolist()
         ])
         return TimeSeries(start=start, interval=interval, values=power)

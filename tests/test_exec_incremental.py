@@ -7,6 +7,7 @@ configuration, under adversarial fault plans, and through powerfail
 breaker trips.
 """
 
+import dataclasses
 import pickle
 
 import pytest
@@ -37,6 +38,7 @@ from repro.faults.plan import FaultPlan
 from repro.obs import MemoryRecorder
 from repro.powerfail import ProtectionSpec, TripCurve
 from repro.units import hours
+from repro.workloads.replay import BurstWindow, FlashCrowdSpec, TraceSource
 
 from .test_obs import (
     REFERENCE_CONFIGS,
@@ -243,6 +245,39 @@ class TestIncrementalParity:
         ]
         assert len(sizes) == 36
         assert sum(sizes) / len(sizes) <= 32_000
+        assert max(sizes) <= 2 * min(sizes)
+
+    def test_protected_faulted_checkpoints_are_compact(self):
+        """The actuator a core drives keeps no command history: on the
+        protected, adversarially faulted brake-storm spec (hundreds of
+        cap and brake commands) checkpoints stay flat instead of
+        carrying every command issued so far."""
+        duration = hours(6)
+        harness = EvaluationHarness(
+            duration_s=duration, seed=1,
+            trace_source=TraceSource(burst=FlashCrowdSpec(
+                windows=(BurstWindow(start_s=0.3 * duration,
+                                     duration_s=0.4 * duration,
+                                     magnitude=6.0),),
+                seed=1,
+            )),
+        )
+        spec = harness.spec(
+            PolicySpec("POLCA"), added_fraction=0.3, power_scale=1.05,
+            fault_plan=FaultPlan.adversarial(1),
+        )
+        spec = dataclasses.replace(spec, config=dataclasses.replace(
+            spec.config,
+            protection=ProtectionSpec(emergency=EmergencyConfig(enabled=True)),
+        ))
+        executor = IncrementalExecutor(RunCache(), checkpoint_epoch_s=1800.0)
+        result = executor.execute(spec)
+        assert result.robustness.commands_issued > 400
+        sizes = [
+            len(blob) for key, blob in executor.cache._blobs.items()
+            if "-ckpt-" in key
+        ]
+        assert len(sizes) == 12
         assert max(sizes) <= 2 * min(sizes)
 
 

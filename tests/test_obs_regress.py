@@ -403,3 +403,11 @@ class TestCli:
         assert resolve_tolerance("anything.wall_s",
                                  DEFAULT_POLICIES).mode == "relative"
         assert DEFAULT_POLICIES[0][0] == "cpu_count"
+
+    def test_pooled_row_host_stamps_are_ignored(self):
+        """A pooled row's core count, and whether the host had enough
+        cores for its workers, describe the machine, not the result."""
+        for path in ("parallel.cpu_count", "optimized.meaningful"):
+            assert resolve_tolerance(path, DEFAULT_POLICIES).mode == "ignore"
+        assert resolve_tolerance("optimized.wall_s",
+                                 DEFAULT_POLICIES).mode == "relative"

@@ -1,10 +1,17 @@
 """Production trace model, fluid cluster model, and synthetic traces."""
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
+from repro.core.sweeps import EvaluationHarness
 from repro.errors import ConfigurationError, TraceError
-from repro.units import days
+from repro.exec import PolicySpec, traces
+from repro.units import days, hours
+from repro.workloads.replay import BurstWindow, FlashCrowdSpec, TraceSource
+from repro.workloads.requests import RequestStream
 from repro.workloads.spec import WorkloadSpec
 from repro.workloads.tracegen import (
     FluidClusterModel,
@@ -13,7 +20,7 @@ from repro.workloads.tracegen import (
     SyntheticTrace,
     SyntheticTraceGenerator,
     TRACE_WEEKS,
-    _PiecewiseRateProfile,
+    rate_bin,
     smooth_same,
 )
 
@@ -139,22 +146,18 @@ class TestSmoothSame:
             smooth_same(np.ones(3), 0)
 
 
-class TestPiecewiseRateProfile:
-    def test_rate_clamps_outside_trace_window(self):
-        profile = _PiecewiseRateProfile(
-            bin_starts=np.array([0.0, 10.0, 20.0]),
-            rates=np.array([1.0, 2.0, 3.0]),
-            interval_s=10.0,
-        )
-        # Thinning can propose arrival candidates slightly before the
-        # first bin or past the last; the profile must clamp to the
-        # nearest bin instead of indexing out of range.
-        assert profile.rate(-5.0) == 1.0
-        assert profile.rate(-1e9) == 1.0
-        assert profile.rate(25.0) == 3.0
-        assert profile.rate(30.0) == 3.0  # exactly past the last bin
-        assert profile.rate(1e9) == 3.0
-        assert profile.rate(10.0) == 2.0  # interior unaffected
+class TestRateBin:
+    def test_bin_clamps_outside_trace_window(self):
+        # Three 10 s bins starting at t = 0. Thinning can propose arrival
+        # candidates slightly before the first bin or past the last; the
+        # index must clamp to the nearest bin instead of indexing out of
+        # range.
+        assert rate_bin(-5.0, 0.0, 10.0, 3) == 0
+        assert rate_bin(-1e9, 0.0, 10.0, 3) == 0
+        assert rate_bin(25.0, 0.0, 10.0, 3) == 2
+        assert rate_bin(30.0, 0.0, 10.0, 3) == 2  # exactly past the last bin
+        assert rate_bin(1e9, 0.0, 10.0, 3) == 2
+        assert rate_bin(10.0, 0.0, 10.0, 3) == 1  # interior unaffected
 
 
 class TestFluidMeanTokens:
@@ -243,3 +246,155 @@ class TestSyntheticTraceGenerator:
         generator = SyntheticTraceGenerator(n_servers=40)
         assert generator.provisioned_power_w == \
             40 * INFERENCE_PROVISIONED_PER_SERVER_W
+
+
+def reference_power(fluid, rho):
+    """The fluid power as first written: binomial terms rebuilt per call."""
+    c = fluid.concurrency
+    expected = 0.0
+    for k in range(c + 1):
+        weight = math.comb(c, k) * (rho ** k) * ((1 - rho) ** (c - k))
+        expected += weight * fluid.occupancy_power_w[k]
+    return fluid.n_servers * expected
+
+
+def reference_utilization(fluid, power_w):
+    """The bisection as first written, on :func:`reference_power`."""
+    if power_w <= reference_power(fluid, 0.0):
+        return 0.0
+    if power_w >= reference_power(fluid, 1.0):
+        return 1.0
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = (lo + hi) / 2.0
+        if reference_power(fluid, mid) < power_w:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2.0
+
+
+class TestHoistedPowerKernel:
+    @pytest.mark.parametrize("n_servers", [40, 44, 56])
+    def test_bisection_ends_on_the_same_float(self, n_servers):
+        fluid = FluidClusterModel.for_table6(n_servers)
+        low = reference_power(fluid, 0.0)
+        high = reference_power(fluid, 1.0)
+        powers = np.linspace(low - 1000.0, high + 1000.0, 397).tolist()
+        powers += [low, high, 0.79 * n_servers * 5000.0]
+        for power_w in powers:
+            assert fluid.utilization_for_power(power_w) == \
+                reference_utilization(fluid, power_w)
+        for rho in np.linspace(0.0, 1.0, 101).tolist():
+            assert fluid.power_at_utilization(rho) == \
+                reference_power(fluid, rho)
+
+
+def request_digest(requests):
+    """SHA-256 over every field of every request, in trace order."""
+    digest = hashlib.sha256()
+    for r in requests:
+        digest.update(
+            f"{r.arrival_time!r}|{r.workload.name}|{r.priority.value}|"
+            f"{r.input_tokens}|{r.output_tokens}\n".encode()
+        )
+    return digest.hexdigest()
+
+
+#: Fig 13 deployment sizes as added-server fractions of the 40-server row.
+FIG13_FRACTIONS = (0.0, 0.1, 0.2, 0.3, 0.4)
+
+
+def storm_key(seed, duration_s):
+    """The brake-storm trace: +30% servers under a 6x flash crowd over
+    the middle 40% of the horizon."""
+    source = TraceSource(burst=FlashCrowdSpec(
+        windows=(BurstWindow(start_s=0.3 * duration_s,
+                             duration_s=0.4 * duration_s, magnitude=6.0),),
+        seed=seed,
+    ))
+    harness = EvaluationHarness(
+        duration_s=duration_s, seed=seed, trace_source=source)
+    return harness.spec(PolicySpec("POLCA"), added_fraction=0.3,
+                        power_scale=1.05).trace_key()
+
+
+class TestTracePins:
+    """Synthesized traces are pinned field for field.
+
+    The digests were recorded from the choice-based sampler, the
+    per-candidate rate profile and the per-call binomial power model,
+    before the synthesis was made cheap; they must never move.
+    """
+
+    FIG13_SEED1_6H = {
+        0.0: "eb6b32f8c3ec3c9dc6de2ad278497f04d480fe485cf01175d22d7e4c10d395cc",
+        0.1: "d57c9650ff6b52acb488092a9124882ed033696bcc1e80a7f01afcb4ac2729f4",
+        0.2: "116ebad320637ca3171931048da6bd7bf716174cf644e37e15941a69adb8f71c",
+        0.3: "42678284a5c04afd57c7c53cd0fee101c1fcc64969d465b9291cc6e6e8130366",
+        0.4: "fc92a792d44788623458cd9f9231af0e738fb0151658168c222d7866ecb9c1d4",
+    }
+    STORM_SEED1_6H = (
+        "068c1d7d86eff35cdc0c9278bef876fd89a0bf9f7f8de07062a0b22d8e39f47a"
+    )
+
+    def test_fig13_and_brake_storm_traces(self):
+        harness = EvaluationHarness(duration_s=hours(6), seed=1)
+        digests = {
+            fraction: request_digest(
+                traces.requests_for(harness.trace_key(fraction)))
+            for fraction in FIG13_FRACTIONS
+        }
+        assert digests == self.FIG13_SEED1_6H
+        storm = traces.requests_for(storm_key(1, hours(6)))
+        assert request_digest(storm) == self.STORM_SEED1_6H
+
+
+class TestSharedRequestStream:
+    """One draw stream per seed: a trace does not depend on which other
+    traces of its seed were synthesized before it."""
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_any_synthesis_order_gives_the_same_traces(self, seed):
+        harness = EvaluationHarness(duration_s=hours(2), seed=seed)
+        keys = [harness.trace_key(f) for f in FIG13_FRACTIONS]
+
+        def synthesize(order):
+            traces.clear_caches()
+            return {
+                key: request_digest(traces.requests_for(key))
+                for key in order
+            }
+
+        ascending = synthesize(keys)
+        assert synthesize(keys[::-1]) == ascending
+        assert synthesize([keys[2], keys[0], keys[4], keys[1], keys[3]]) \
+            == ascending
+        traces.clear_caches()
+        assert traces.cache_sizes()["request_streams"] == 0
+        for key in keys:
+            generator = SyntheticTraceGenerator(
+                n_servers=key.n_servers, seed=seed)
+            alone = generator.generate(
+                traces.utilization_trace(seed, key.duration_s))
+            assert request_digest(alone.requests) == ascending[key]
+        traces.clear_caches()
+
+    def test_stream_is_shared_per_seed(self):
+        traces.clear_caches()
+        harness = EvaluationHarness(duration_s=hours(2), seed=5)
+        small = traces.requests_for(harness.trace_key(0.0))
+        stream = traces.request_stream(6)
+        assert len(stream) == len(small)
+        large = traces.requests_for(harness.trace_key(0.4))
+        assert traces.request_stream(6) is stream
+        assert len(stream) == len(large) > len(small)
+        assert traces.cache_sizes()["request_streams"] == 1
+        traces.clear_caches()
+
+    def test_stream_seed_must_match(self):
+        generator = SyntheticTraceGenerator(seed=2)
+        trace = ProductionTraceModel(seed=2).generate(duration_s=hours(1))
+        with pytest.raises(ConfigurationError):
+            generator.generate(trace, RequestStream(seed=2))
+        assert generator.generate(trace, RequestStream(seed=3)).requests

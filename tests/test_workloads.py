@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.units import days
 from repro.workloads.arrivals import DiurnalRateProfile, generate_arrivals
-from repro.workloads.requests import RequestSampler
+from repro.workloads.requests import RequestSampler, RequestStream
 from repro.workloads.spec import (
     CHAT,
     Priority,
@@ -162,3 +164,101 @@ class TestRequestSampler:
     def test_bad_mix_rejected(self):
         with pytest.raises(ConfigurationError):
             RequestSampler(mix=(SUMMARIZE, SEARCH))  # shares sum to 0.5
+
+
+def choice_sampler(seed, mix, arrival_times):
+    """The reference sampler: ``Generator.choice`` with the share list
+    on every request. Returns the requests as tuples and the final
+    bit-generator state."""
+    rng = np.random.default_rng(seed)
+    requests = []
+    for t in arrival_times:
+        shares = [w.share for w in mix]
+        workload = mix[int(rng.choice(len(mix), p=shares))]
+        is_high = rng.random() < workload.high_priority_probability
+        lo_p, hi_p = workload.prompt_range
+        lo_o, hi_o = workload.output_range
+        requests.append((
+            t, workload, Priority.HIGH if is_high else Priority.LOW,
+            int(rng.integers(lo_p, hi_p + 1)),
+            int(rng.integers(lo_o, hi_o + 1)),
+        ))
+    return requests, rng.bit_generator.state
+
+
+def as_tuples(requests):
+    return [
+        (r.arrival_time, r.workload, r.priority, r.input_tokens,
+         r.output_tokens)
+        for r in requests
+    ]
+
+
+@st.composite
+def mixes(draw):
+    """Workload mixes: one workload, or up to four with uneven shares
+    and odd ranges (width 0, width 1, wide)."""
+    n = draw(st.integers(1, 4))
+    weights = [draw(st.integers(1, 9)) for _ in range(n)]
+    mix = []
+    for i, weight in enumerate(weights):
+        lo_p = draw(st.integers(1, 3000))
+        lo_o = draw(st.integers(1, 500))
+        mix.append(WorkloadSpec(
+            name=f"w{i}",
+            prompt_range=(lo_p, lo_p + draw(st.sampled_from((0, 1, 7, 4096)))),
+            output_range=(lo_o, lo_o + draw(st.sampled_from((0, 1, 255)))),
+            share=weight / sum(weights),
+            high_priority_probability=draw(
+                st.sampled_from((0.0, 0.5, 1.0, 0.3))),
+        ))
+    return tuple(mix)
+
+
+class TestSamplerMatchesChoice:
+    """The cumulative-table sampler draws exactly what ``choice`` did."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        mix=st.one_of(st.just(TABLE6_MIX), mixes()),
+        n=st.integers(0, 300),
+        singles=st.integers(0, 5),
+    )
+    @example(seed=0, mix=TABLE6_MIX, n=0, singles=0)
+    @example(seed=7, mix=(WorkloadSpec("solo", (1, 1), (3, 4), 1.0, 0.5),),
+             n=50, singles=2)
+    def test_requests_and_state_match(self, seed, mix, n, singles):
+        times = [0.5 * i for i in range(n + singles)]
+        expected, state = choice_sampler(seed, mix, times)
+        sampler = RequestSampler(mix=mix, seed=seed)
+        got = [sampler.sample(t) for t in times[:singles]]
+        got += sampler.sample_many(times[singles:])
+        assert as_tuples(got) == expected
+        assert sampler._rng.bit_generator.state == state
+
+
+class TestRequestStream:
+    def test_fresh_stream_equals_sample_many(self):
+        times = list(np.arange(700.0))
+        stream = RequestStream(seed=4)
+        assert as_tuples(stream.requests(times)) == as_tuples(
+            RequestSampler(seed=4).sample_many(times))
+
+    def test_shorter_traces_take_a_prefix(self):
+        """Whatever order the lengths are asked in, request ``i`` of
+        every trace carries the stream's ``i``-th attributes."""
+        long_times = [2.0 * i for i in range(500)]
+        short_times = [3.0 * i for i in range(120)]
+        up, down = RequestStream(seed=9), RequestStream(seed=9)
+        short_up = up.requests(short_times)
+        long_up = up.requests(long_times)
+        long_down = down.requests(long_times)
+        short_down = down.requests(short_times)
+        assert as_tuples(long_up) == as_tuples(long_down)
+        assert as_tuples(short_up) == as_tuples(short_down)
+        assert [a[1:] for a in as_tuples(short_up)] == [
+            a[1:] for a in as_tuples(long_up)[:120]
+        ]
+        assert len(up) == len(down) == 500
+        assert up.requests([]) == []
